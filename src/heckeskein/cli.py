@@ -31,7 +31,7 @@ from .hecke import (
     word_elt,
 )
 from .perm import all_perms
-from .psi import parse_element, psi as psi_map, verify_murphy_series
+from .psi import build_element, parse_factors, psi as psi_map, verify_murphy_series
 from .series import TruncSeries
 from .symfun import SymFunc, closed_braid_A, complete, power_sum
 
@@ -353,11 +353,12 @@ def cmd_eval(elem: str) -> dict:
 
 
 def _parse_bounded_element(elem: str) -> SymFunc:
-    f = parse_element(elem)
-    top = max((sum(p) for p in f.terms), default=0)
+    # bound the degree before building: e5000 alone would run for minutes
+    factors = parse_factors(elem)
+    top = sum(degree for _, _, degree in factors)
     if top > MAX_DEGREE:
         raise UsageError(f"element degree {top} exceeds the bound {MAX_DEGREE}")
-    return f
+    return build_element(factors)
 
 
 # ---------------------------------------------------------------------------

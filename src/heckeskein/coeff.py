@@ -231,8 +231,13 @@ def _fmt_poly(p: IntLaurent) -> str:
 # Polynomial gcd machinery.
 #
 # Laurent monomials are units, so gcds are computed on the polynomial parts
-# after stripping monomial content.  Univariate gcds use the subresultant
-# polynomial remainder sequence over Z; the bivariate case runs the same PRS
+# after stripping monomial content.  If one input lies in Z[s], so does every
+# common factor, and the gcd is a fold of univariate gcds of that input with
+# the other input's v-coefficients, each in Z[s]; likewise with v and s
+# swapped.  Every denominator the library builds (quantum integers, z, the
+# seminormal factors 1 - s^{-2d}) lies in Z[s], so the fold is the common
+# path.  Univariate gcds use the subresultant polynomial remainder sequence
+# (PRS) over Z.  Only two inputs that each use both variables run the PRS
 # with coefficients in Z[v], recursing for contents.  Nested dense lists:
 # a depth-1 poly is a list of ints, a depth-2 poly a list of depth-1 polys.
 # ---------------------------------------------------------------------------
@@ -246,10 +251,6 @@ def _trim(p: list) -> list:
 
 def _p_is_zero_coeff(c) -> bool:
     return c == 0 if isinstance(c, int) else not c
-
-
-def _p_zero(depth: int):
-    return []
 
 
 def _p_one(depth: int):
@@ -314,50 +315,6 @@ def _list_divexact(a: list[int], b: list[int]) -> list[int]:
         for j, y in enumerate(b):
             a[i + j] -= qc * y
     if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    return _trim(q)
-
-
-def _p_add(a: list, b: list) -> list:
-    return _trim([_c_add(x, y) for x, y in _zip_pad(a, b)])
-
-
-def _p_coeff_mul(p: list, c) -> list:
-    return _trim([_c_mul(c, x) for x in p])
-
-
-def _p_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    is_int = isinstance(a[0], int) if a else isinstance(b[0], int)
-    zero = 0 if is_int else []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if _p_is_zero_coeff(x):
-            continue
-        for j, y in enumerate(b):
-            if _p_is_zero_coeff(y):
-                continue
-            out[i + j] = _c_add(out[i + j], _c_mul(x, y))
-    return _trim(out)
-
-
-def _p_divexact(a: list, b: list) -> list:
-    """Exact division of nested polys, main variable last index."""
-    if not a:
-        return []
-    a = [x if isinstance(x, int) else list(x) for x in a]
-    n, m = len(a), len(b)
-    q: list = [0 if isinstance(a[0], int) else []] * (n - m + 1)
-    for i in range(n - m, -1, -1):
-        c = a[i + m - 1]
-        if _p_is_zero_coeff(c):
-            continue
-        qc = _c_divexact(c, b[-1])
-        q[i] = qc
-        for j, y in enumerate(b):
-            a[i + j] = _c_add(a[i + j], _c_neg(_c_mul(qc, y)))
-    if any(not _p_is_zero_coeff(x) for x in a):
         raise ArithmeticError("inexact polynomial division")
     return _trim(q)
 
@@ -493,6 +450,11 @@ def _to_lists(p: IntLaurent, main_s: bool) -> list:
     return [_trim(row) for row in out]
 
 
+def _to_depth2(p: IntLaurent) -> list:
+    """Genuine polynomial -> depth-2 list over Z[v][s], main variable s."""
+    return [c if isinstance(c, list) else ([c] if c else []) for c in _to_lists(p, True)]
+
+
 def _from_lists(p: list, main_s: bool, depth: int) -> IntLaurent:
     terms: dict[ExpPair, int] = {}
     for i, c in enumerate(p):
@@ -525,21 +487,43 @@ def poly_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
         return IntLaurent.from_int(cf)
     fv, fs = f0.uses_v(), f0.uses_s()
     gv, gs = g0.uses_v(), g0.uses_s()
-    if (fv, fs) == (True, False) and (gv, gs) == (False, True):
-        return IntLaurent.from_int(cf)
-    if (fv, fs) == (False, True) and (gv, gs) == (True, False):
-        return IntLaurent.from_int(cf)
-    if not fv and not gv:
-        r = _gcd_lists(_to_lists(f0, True), _to_lists(g0, True), 1)
-        return _from_lists(r, True, 1)
-    if not fs and not gs:
-        r = _gcd_lists(_to_lists(f0, False), _to_lists(g0, False), 1)
-        return _from_lists(r, False, 1)
-    # at least one genuinely bivariate: main variable s, coefficients in Z[v]
-    a = [c if isinstance(c, list) else ([c] if c else []) for c in _to_lists(f0, True)]
-    b = [c if isinstance(c, list) else ([c] if c else []) for c in _to_lists(g0, True)]
-    r = _gcd_lists(a, b, 2)
-    return _from_lists(r, True, 2)
+    if fv and fs and gv and gs:
+        r = _gcd_lists(_to_depth2(f0), _to_depth2(g0), 2)
+        return canon_poly_part(_from_lists(r, True, 2))
+    # one input lies in one variable (in_s: it lies in Z[s]); fold over the
+    # other input's coefficients
+    if not (fv and fs):
+        uni, other, in_s = f0, g0, not fv
+    else:
+        uni, other, in_s = g0, f0, not gv
+    r = _to_lists(uni, in_s)
+    for c in _slices(other, in_s):
+        r = _gcd_lists(r, c, 1)
+        if r == [1]:
+            break
+    return _from_lists(r, in_s, 1)
+
+
+def _slices(p: IntLaurent, in_s: bool) -> list[list[int]]:
+    """Coefficients of p in Z[s] (in_s) or Z[v], as dense lists.
+
+    Each slice drops its lowest power of the main variable: the running gcd
+    in poly_gcd divides a stripped input, so it is prime to that variable.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for (a, b), c in p.terms.items():
+        if in_s:
+            rows.setdefault(a, {})[b] = c
+        else:
+            rows.setdefault(b, {})[a] = c
+    out = []
+    for row in rows.values():
+        lo = min(row)
+        dense = [0] * (max(row) - lo + 1)
+        for e, c in row.items():
+            dense[e - lo] = c
+        out.append(dense)
+    return out
 
 
 def _strip_monomial(p: IntLaurent) -> IntLaurent:

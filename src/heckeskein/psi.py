@@ -120,6 +120,53 @@ _FACTOR_RE = re.compile(
 )
 
 
+# (kind, argument, degree); see parse_factors
+Factor = tuple[str, int | tuple[int, ...], int]
+
+_BUILDERS = {"h": complete, "e": elementary, "p": power_sum, "s": schur}
+
+
+def parse_factors(text: str) -> list[Factor]:
+    """Split an element expression into factors without building any.
+
+    Each factor is (kind, argument, degree): kind 'int', 'h', 'e', 'p' or 's';
+    the argument is the integer, the index k, or the parts of s(...); the
+    degree is 0, k or the sum of the parts.  Callers can bound the degree of
+    the product before paying for it.
+
+    >>> parse_factors("2*h2*s(2,1)")
+    [('int', 2, 0), ('h', 2, 2), ('s', (2, 1), 3)]
+    """
+    out: list[Factor] = []
+    for raw in text.split("*"):
+        token = raw.strip()
+        if not token:
+            raise ValueError("empty factor in element expression")
+        m = _FACTOR_RE.match(token)
+        if m is None:
+            raise ValueError(f"cannot parse element factor {token!r}")
+        if m.group("int") is not None:
+            out.append(("int", int(m.group("int")), 0))
+        elif m.group("gen") is not None:
+            k = int(m.group("deg"))
+            out.append((m.group("gen"), k, k))
+        else:
+            parts = tuple(int(x) for x in m.group("parts").split(","))
+            out.append(("s", parts, sum(parts)))
+    return out
+
+
+def build_element(factors: list[Factor]) -> SymFunc:
+    """The product of factors from parse_factors, as an annulus-ring element."""
+    out = SymFunc.one()
+    for kind, arg, _ in factors:
+        if kind == "int":
+            out = out.scale(Scalar.from_int(arg))
+        else:
+            out = out * _BUILDERS[kind](arg)
+    return out
+
+
 def parse_element(text: str) -> SymFunc:
     """Parse the CLI element grammar into an annulus-ring element.
 
@@ -129,26 +176,4 @@ def parse_element(text: str) -> SymFunc:
     ...     complete(2) * power_sum(1)).scale(Scalar.from_int(2)).terms
     True
     """
-    out = SymFunc.one()
-    for raw in text.split("*"):
-        token = raw.strip()
-        if not token:
-            raise ValueError("empty factor in element expression")
-        m = _FACTOR_RE.match(token)
-        if m is None:
-            raise ValueError(f"cannot parse element factor {token!r}")
-        if m.group("int") is not None:
-            out = out.scale(Scalar.from_int(int(m.group("int"))))
-        elif m.group("gen") is not None:
-            k = int(m.group("deg"))
-            gen = m.group("gen")
-            if gen == "h":
-                out = out * complete(k)
-            elif gen == "e":
-                out = out * elementary(k)
-            else:
-                out = out * power_sum(k)
-        else:
-            parts = tuple(int(x) for x in m.group("parts").split(","))
-            out = out * schur(parts)
-    return out
+    return build_element(parse_factors(text))

@@ -1,4 +1,5 @@
 import json
+import time
 
 from heckeskein.cli import main
 
@@ -125,6 +126,16 @@ def test_bad_element_named(capsys):
     code, out, err = run(capsys, "eval", "--elem", "h1*zap")
     assert code == 2
     assert "'zap'" in err
+
+
+def test_element_degree_rejected_before_building(capsys):
+    for elem in ("e5000", "p99999999", "s(" + ",".join(["1"] * 13) + ")", "0*h9"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--elem", elem)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "exceeds the bound" in err
+        assert out == ""
 
 
 def test_bounds_enforced(capsys):

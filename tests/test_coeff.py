@@ -8,6 +8,11 @@ from heckeskein.coeff import (
     ZERO,
     IntLaurent,
     Scalar,
+    _from_lists,
+    _gcd_lists,
+    _strip_monomial,
+    _to_depth2,
+    canon_poly_part,
     delta,
     laurent_divexact,
     poly_gcd,
@@ -64,6 +69,59 @@ def test_canonical_den_invariants_random():
         assert mv == 0 and ms == 0
         assert c.den.lex_leading()[1] > 0
         assert poly_gcd(c.num, c.den).is_one()
+
+
+def prs_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
+    """Reference gcd: the depth-2 PRS over Z[v][s], whatever variables f, g use."""
+    a, b = (_to_depth2(_strip_monomial(p)) for p in (f, g))
+    return canon_poly_part(_from_lists(_gcd_lists(a, b, 2), True, 2))
+
+
+def test_poly_gcd_sign_on_bivariate_path():
+    s, v = IntLaurent.monomial(1, 0, 1), IntLaurent.monomial(1, 1, 0)
+    f = (s - v) * (s + IntLaurent.from_int(2))
+    g = (s - v) * (v + IntLaurent.from_int(3))
+    for a, b in ((f, g), (g, f)):
+        r = poly_gcd(a, b)
+        assert r == v - s
+        assert r.lex_leading()[1] > 0
+
+
+def test_poly_gcd_fold_matches_prs_random():
+    rng = random.Random(2001)
+
+    def poly(vmax, smax, terms):
+        return IntLaurent({
+            (rng.randint(0, vmax), rng.randint(0, smax)): rng.randint(-4, 4)
+            for _ in range(terms)
+        })
+
+    def one_var(in_s, terms):
+        return poly(0, 3, terms) if in_s else poly(3, 0, terms)
+
+    def shifted(p):
+        return p.shift(rng.randint(-2, 2), rng.randint(-2, 2))
+
+    # the v^1 slice of g is the bare monomial 6 s^2; the gcd is the content 2
+    f = IntLaurent({(0, 0): 2, (0, 1): 2, (0, 2): 2})
+    g = IntLaurent({(1, 2): 6, (0, 0): 2, (0, 1): 2})
+    assert poly_gcd(f, g) == poly_gcd(g, f) == prs_gcd(f, g) == IntLaurent.from_int(2)
+
+    cases = 0
+    while cases < 300:
+        in_s = rng.random() < 0.5
+        # common factor c: in one variable, or an integer; then integer content
+        c = one_var(in_s, rng.randint(1, 3)) if rng.random() < 0.8 else IntLaurent.from_int(1)
+        c = c.int_mul(rng.choice((1, 1, 2, 3, 6)))
+        a = one_var(in_s, rng.randint(1, 3))  # f = c*a stays in one variable
+        b = poly(2, 3, rng.randint(1, 4))
+        f, g = shifted(c * a), shifted(c * b)
+        if f.is_zero() or g.is_zero():
+            continue
+        cases += 1
+        ref = prs_gcd(f, g)
+        assert poly_gcd(f, g) == ref
+        assert poly_gcd(g, f) == ref
 
 
 def test_quantum_int_examples():
