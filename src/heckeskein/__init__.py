@@ -15,7 +15,6 @@ from .hecke import (
     elem_murphy_series,
     gamma_elt,
     h_idem,
-    mul_basis_by_gen,
     murphy_M,
     murphy_series,
     murphy_T,
@@ -33,6 +32,7 @@ from .repn import (
     character,
     closure,
     partitions_of,
+    phi_apply,
     rep_of,
     rho,
     std_tableaux,
@@ -44,7 +44,6 @@ from .symfun import (
     complete,
     elementary,
     from_p,
-    phi_apply,
     power_sum,
     schur,
     to_p,
@@ -57,15 +56,15 @@ __version__ = "0.1.0"
 __all__ = [
     "IntLaurent", "Scalar", "delta", "quantum_int", "s_pow", "v_pow", "z",
     "HeckeElt", "a_sym", "b_sym", "e_idem", "elem_murphy_series", "gamma_elt",
-    "h_idem", "mul_basis_by_gen", "murphy_M", "murphy_series", "murphy_T",
+    "h_idem", "murphy_M", "murphy_series", "murphy_T",
     "phi_s", "power_sum_T", "rescale", "t_circle", "word_elt",
     "Perm", "all_perms", "coset_decompose", "length", "reduced_word",
     "transposition",
     "parse_element", "psi", "psi_eigen_check", "verify_murphy_series",
     "RepMatrix", "central_scalar", "character", "closure", "partitions_of",
-    "rep_of", "rho", "std_tableaux",
+    "phi_apply", "rep_of", "rho", "std_tableaux",
     "TruncSeries", "geometric",
     "SymFunc", "closed_braid_A", "complete", "elementary", "from_p",
-    "phi_apply", "power_sum", "schur", "to_p", "to_schur",
+    "power_sum", "schur", "to_p", "to_schur",
     "ev_sym", "homfly", "markov_ev",
 ]

@@ -30,14 +30,14 @@ from .hecke import (
     t_circle,
     word_elt,
 )
-from .perm import all_perms
+from .perm import MAX_PERM_N, all_perms
 from .psi import build_element, parse_factors, psi as psi_map, verify_murphy_series
 from .series import TruncSeries
 from .symfun import SymFunc, closed_braid_A, complete, power_sum
 
 MAX_N = 6
 MAX_DEGREE = 8
-MAX_STRANDS = 8
+MAX_STRANDS = MAX_PERM_N
 DEFAULT_N = 4
 DEFAULT_DEGREE = 4
 

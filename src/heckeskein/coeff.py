@@ -885,3 +885,19 @@ def quantum_int(n: int) -> Scalar:
     return Scalar._raw(
         IntLaurent({(0, n - 1 - 2 * k): 1 for k in range(n)}), _L_ONE
     )
+
+
+# ---------------------------------------------------------------------------
+# Sparse accumulation.
+# ---------------------------------------------------------------------------
+
+
+def add_term(store: dict, key, val) -> None:
+    """store[key] += val for Scalar or IntLaurent values, keeping no zeros."""
+    prev = store.get(key)
+    if prev is not None:
+        val = prev + val
+    if val.is_zero():
+        store.pop(key, None)
+    else:
+        store[key] = val

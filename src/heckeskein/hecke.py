@@ -17,11 +17,10 @@ single gcd per output coefficient happens when the result is rebuilt.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .coeff import (
     IntLaurent,
     Scalar,
+    add_term,
     canon_poly_part,
     delta,
     laurent_divexact,
@@ -33,15 +32,14 @@ from .coeff import (
 from .perm import (
     Perm,
     all_perms,
+    identity,
     left_gen,
     length,
-    reduced_word,
     right_gen,
     transposition,
+    word_of,
 )
 from .series import TruncSeries, geometric
-
-MAX_STRANDS = 8
 
 _Z = IntLaurent({(0, 1): 1, (0, -1): -1})
 _ONE_POLY = IntLaurent.from_int(1)
@@ -70,7 +68,7 @@ class HeckeElt:
     @staticmethod
     def identity(n: int) -> HeckeElt:
         out = HeckeElt(n)
-        out.terms[_id_perm(n)] = Scalar.from_int(1)
+        out.terms[identity(n)] = Scalar.from_int(1)
         return out
 
     @staticmethod
@@ -87,7 +85,7 @@ class HeckeElt:
     def scalar(n: int, c: Scalar) -> HeckeElt:
         out = HeckeElt(n)
         if not c.is_zero():
-            out.terms[_id_perm(n)] = c
+            out.terms[identity(n)] = c
         return out
 
     # -- coefficient-algebra protocol ----------------------------------------------
@@ -115,14 +113,7 @@ class HeckeElt:
         out = HeckeElt(self.n)
         out.terms = dict(self.terms)
         for p, c in other.terms.items():
-            if p in out.terms:
-                v = out.terms[p] + c
-                if v.is_zero():
-                    del out.terms[p]
-                else:
-                    out.terms[p] = v
-            else:
-                out.terms[p] = c
+            add_term(out.terms, p, c)
         return out
 
     def __neg__(self) -> HeckeElt:
@@ -158,22 +149,22 @@ class HeckeElt:
         acc: PolyTerms = {}
         for rho, c_rho in yt.items():
             cur = xt
-            for i in _cached_word(rho):
+            for i in word_of(rho):
                 cur = _rmul_gen_poly(cur, i, +1)
             for im, c in cur.items():
-                v = c * c_rho
-                if v.is_zero():
-                    continue
-                prev = acc.get(im)
-                if prev is None:
-                    acc[im] = v
-                else:
-                    w = prev + v
-                    if w.is_zero():
-                        del acc[im]
-                    else:
-                        acc[im] = w
+                add_term(acc, im, c * c_rho)
         return _from_poly_form(self.n, acc, xd * yd)
+
+    def rmul_word(self, word) -> HeckeElt:
+        """self * sigma_{|i|}^{sign(i)} over the letters i of a braid word."""
+        terms, d = _poly_form(self)
+        for i in word:
+            if i == 0 or not (1 <= abs(i) <= self.n - 1):
+                raise ValueError(
+                    f"braid letter {i} out of range for {self.n} strands"
+                )
+            terms = _rmul_gen_poly(terms, abs(i), 1 if i > 0 else -1)
+        return _from_poly_form(self.n, terms, d)
 
     # -- the skein structure --------------------------------------------------------------
 
@@ -201,23 +192,14 @@ class HeckeElt:
         for images, mc in parts:
             factor = mc.num * laurent_divexact(d, mc.den)
             for im, cc in _mirror_basis(images).items():
-                v = cc * factor
-                if v.is_zero():
-                    continue
-                prev = acc.get(im)
-                if prev is None:
-                    acc[im] = v
-                else:
-                    w = prev + v
-                    if w.is_zero():
-                        del acc[im]
-                    else:
-                        acc[im] = w
+                add_term(acc, im, cc * factor)
         return _from_poly_form(self.n, acc, d)
 
     def is_central(self) -> bool:
+        terms, d = _poly_form(self)
         for i in range(1, self.n):
-            if _gen_mul(self, i, left=False) != _gen_mul(self, i, left=True):
+            left = _from_poly_form(self.n, _lmul_gen_poly(terms, i), d)
+            if self.rmul_word([i]) != left:
                 return False
         return True
 
@@ -247,16 +229,6 @@ class HeckeElt:
         rows = sorted(self.terms.items(), key=lambda kv: kv[0].images)
         body = " + ".join(f"({c!r})*w{p.images}" for p, c in rows)
         return f"HeckeElt(n={self.n}, {body})"
-
-
-@lru_cache(maxsize=64)
-def _id_perm(n: int) -> Perm:
-    return Perm(tuple(range(1, n + 1)))
-
-
-@lru_cache(maxsize=65536)
-def _cached_word(images: Images) -> tuple[int, ...]:
-    return tuple(reduced_word(Perm(images)))
 
 
 # -- common-denominator plumbing -------------------------------------------------
@@ -304,51 +276,25 @@ def _rmul_gen_poly(terms: PolyTerms, i: int, sign: int) -> PolyTerms:
     out: PolyTerms = {}
     j = i - 1
     for im, c in terms.items():
-        sw = right_gen(im, i)
         ascending = im[j] < im[j + 1]
-        _acc(out, sw, c)
+        add_term(out, right_gen(im, i), c)
         if sign > 0:
             if not ascending:
-                _acc(out, im, c * _Z)
+                add_term(out, im, c * _Z)
         else:
             if ascending:
-                _acc(out, im, -(c * _Z))
+                add_term(out, im, -(c * _Z))
     return out
 
 
-def _lmul_gen_poly(terms: PolyTerms, i: int, sign: int) -> PolyTerms:
-    """Left multiply polynomial-coefficient terms by sigma_i^{sign}."""
+def _lmul_gen_poly(terms: PolyTerms, i: int) -> PolyTerms:
+    """Left multiply polynomial-coefficient terms by sigma_i."""
     out: PolyTerms = {}
     for im, c in terms.items():
-        sw = left_gen(im, i)
-        ascending = im.index(i) < im.index(i + 1)
-        _acc(out, sw, c)
-        if sign > 0:
-            if not ascending:
-                _acc(out, im, c * _Z)
-        else:
-            if ascending:
-                _acc(out, im, -(c * _Z))
+        add_term(out, left_gen(im, i), c)
+        if im.index(i) > im.index(i + 1):
+            add_term(out, im, c * _Z)
     return out
-
-
-def _acc(store: PolyTerms, key: Images, val: IntLaurent):
-    prev = store.get(key)
-    if prev is None:
-        if not val.is_zero():
-            store[key] = val
-    else:
-        w = prev + val
-        if w.is_zero():
-            del store[key]
-        else:
-            store[key] = w
-
-
-def _gen_mul(x: HeckeElt, i: int, left: bool, sign: int = 1) -> HeckeElt:
-    terms, d = _poly_form(x)
-    terms = _lmul_gen_poly(terms, i, sign) if left else _rmul_gen_poly(terms, i, sign)
-    return _from_poly_form(x.n, terms, d)
 
 
 _MIRROR_CACHE: dict[Images, PolyTerms] = {}
@@ -363,15 +309,13 @@ def _mirror_basis(images: Images) -> PolyTerms:
     hit = _MIRROR_CACHE.get(images)
     if hit is not None:
         return hit
-    word = _cached_word(images)
+    word = word_of(images)
     if not word:
         out = {images: _ONE_POLY}
     else:
-        n = len(images)
-        prefix = _id_perm(n).images
-        for i in word[:-1]:
-            prefix = right_gen(prefix, i)
-        out = _rmul_gen_poly(_mirror_basis(prefix), word[-1], -1)
+        # w_pi = w_{pi s_i} sigma_i for the last letter i of pi's reduced word
+        i = word[-1]
+        out = _rmul_gen_poly(_mirror_basis(right_gen(images, i)), i, -1)
     _MIRROR_CACHE[images] = out
     return out
 
@@ -381,24 +325,9 @@ def _mirror_basis(images: Images) -> PolyTerms:
 # ---------------------------------------------------------------------------
 
 
-def mul_basis_by_gen(p: Perm, i: int, sign: int = 1) -> HeckeElt:
-    """w_pi * sigma_i^{sign} expanded in the braid basis."""
-    if not (1 <= i <= p.n - 1):
-        raise ValueError(f"generator index {i} out of range for H_{p.n}")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    terms = _rmul_gen_poly({p.images: _ONE_POLY}, i, sign)
-    return _from_poly_form(p.n, terms, _ONE_POLY)
-
-
 def word_elt(n: int, word: list[int]) -> HeckeElt:
     """Ordered product of sigma_{|i|}^{sign(i)} over a braid word."""
-    terms: PolyTerms = {_id_perm(n).images: _ONE_POLY}
-    for i in word:
-        if i == 0 or not (1 <= abs(i) <= n - 1):
-            raise ValueError(f"braid letter {i} out of range for {n} strands")
-        terms = _rmul_gen_poly(terms, abs(i), 1 if i > 0 else -1)
-    return _from_poly_form(n, terms, _ONE_POLY)
+    return HeckeElt.identity(n).rmul_word(word)
 
 
 def murphy_M(j: int, n: int) -> HeckeElt:
@@ -450,7 +379,7 @@ def gamma_elt(n: int) -> HeckeElt:
 def a_sym(n: int) -> HeckeElt:
     """The row quasi-idempotent a_n = sum over S_n of s^{l(pi)} w_pi."""
     out = HeckeElt(n)
-    for p in all_perms(n, bound=MAX_STRANDS):
+    for p in all_perms(n):
         out.terms[p] = s_pow(length(p))
     return out
 
@@ -458,7 +387,7 @@ def a_sym(n: int) -> HeckeElt:
 def b_sym(n: int) -> HeckeElt:
     """The column quasi-idempotent b_n = sum over S_n of (-s)^{-l(pi)} w_pi."""
     out = HeckeElt(n)
-    for p in all_perms(n, bound=MAX_STRANDS):
+    for p in all_perms(n):
         l = length(p)
         out.terms[p] = s_pow(-l).int_mul((-1) ** l)
     return out

@@ -50,9 +50,6 @@ class Perm:
     def __repr__(self) -> str:
         return f"Perm({self.images!r})"
 
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
-
     def to_json(self) -> list[int]:
         return list(self.images)
 
@@ -61,6 +58,7 @@ class Perm:
         return Perm(tuple(int(x) for x in obj))
 
 
+@lru_cache(maxsize=64)
 def identity(n: int) -> Perm:
     return Perm(tuple(range(1, n + 1)))
 
@@ -135,20 +133,19 @@ def coset_decompose(a: Perm) -> tuple[Perm, int | None]:
 
 def reduced_word(a: Perm) -> list[int]:
     """The canonical reduced word for a, by descending coset decomposition."""
-    return list(_reduced_word(a.images))
+    if a.n == 0:
+        return []
+    u, k = coset_decompose(a)
+    head = list(word_of(u.images))
+    if k is None:
+        return head
+    return head + list(range(a.n - 1, k - 1, -1))
 
 
 @lru_cache(maxsize=65536)
-def _reduced_word(images: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(images)
-    if n <= 1:
-        return ()
-    k = images.index(n) + 1
-    rest = tuple(v for v in images if v != n)
-    head = _reduced_word(rest)
-    if k == n:
-        return head
-    return head + tuple(range(n - 1, k - 1, -1))
+def word_of(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical reduced word of the permutation with these images."""
+    return tuple(reduced_word(Perm(images)))
 
 
 def word_to_perm(n: int, word: list[int]) -> Perm:
@@ -161,9 +158,9 @@ def word_to_perm(n: int, word: list[int]) -> Perm:
     return Perm(images)
 
 
-def all_perms(n: int, bound: int = MAX_PERM_N) -> Iterator[Perm]:
+def all_perms(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic one-line order."""
-    if n > bound:
-        raise ValueError(f"n = {n} exceeds the permutation bound {bound}")
+    if n > MAX_PERM_N:
+        raise ValueError(f"n = {n} exceeds the permutation bound {MAX_PERM_N}")
     for images in itertools.permutations(range(1, n + 1)):
         yield Perm(images)

@@ -52,11 +52,6 @@ def psi(n: int, f: SymFunc) -> HeckeElt:
     return out
 
 
-def psi_series(n: int, f: TruncSeries) -> TruncSeries:
-    """Apply psi coefficientwise to a series over the annulus ring."""
-    return TruncSeries([psi(n, c) for c in f.coeffs])
-
-
 def verify_murphy_series(n: int, order: int) -> tuple[bool, dict]:
     """Check psi_n(H(t)) = psi_0(H(t)) * HM(sv^{-1}t) / HM(s^{-1}v^{-1}t).
 
@@ -142,17 +137,21 @@ def parse_factors(text: str) -> list[Factor]:
         token = raw.strip()
         if not token:
             raise ValueError("empty factor in element expression")
+        unparsable = ValueError(f"cannot parse element factor {token[:40]!r}")
         m = _FACTOR_RE.match(token)
         if m is None:
-            raise ValueError(f"cannot parse element factor {token!r}")
-        if m.group("int") is not None:
-            out.append(("int", int(m.group("int")), 0))
-        elif m.group("gen") is not None:
-            k = int(m.group("deg"))
-            out.append((m.group("gen"), k, k))
-        else:
-            parts = tuple(int(x) for x in m.group("parts").split(","))
-            out.append(("s", parts, sum(parts)))
+            raise unparsable
+        try:  # int() refuses strings of more than 4300 digits
+            if m.group("int") is not None:
+                out.append(("int", int(m.group("int")), 0))
+            elif m.group("gen") is not None:
+                k = int(m.group("deg"))
+                out.append((m.group("gen"), k, k))
+            else:
+                parts = tuple(int(x) for x in m.group("parts").split(","))
+                out.append(("s", parts, sum(parts)))
+        except ValueError:
+            raise unparsable from None
     return out
 
 

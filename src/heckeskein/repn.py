@@ -18,6 +18,8 @@ T(j) acts diagonally with eigenvalues s^(2 * content of the cell of j).
 
 Closure into the annulus ring is the character-weighted sum of Schur
 functions; its compatibility with the Markov trace is an independent check.
+The encircling map on the annulus ring scales each Schur function s_lambda
+by the scalar through which T^(n) acts on the shape lambda.
 """
 
 from __future__ import annotations
@@ -26,21 +28,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .coeff import ONE, Scalar, s_pow, z
-from .hecke import HeckeElt, _cached_word, _id_perm
-from .perm import right_gen
-from .symfun import Partition, SymFunc, check_partition, schur
+from .coeff import ONE, Scalar, add_term, s_pow, z
+from .hecke import HeckeElt, t_circle
+from .perm import MAX_PERM_N, right_gen, word_of
+from .symfun import Partition, SymFunc, check_partition, schur, to_schur
 
-MAX_CELLS = 8
+MAX_CELLS = MAX_PERM_N
 
 Tableau = tuple[tuple[int, ...], ...]
 Matrix = list[dict[int, Scalar]]
 
 
-def partitions_of(n: int, bound: int = MAX_CELLS) -> Iterator[Partition]:
+def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, largest-first within lex order."""
-    if n > bound:
-        raise ValueError(f"n = {n} exceeds the partition bound {bound}")
+    if n > MAX_CELLS:
+        raise ValueError(f"n = {n} exceeds the partition bound {MAX_CELLS}")
     yield from _partitions(n, n)
 
 
@@ -158,18 +160,7 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
         target = out[r]
         for k, c in row.items():
             for j, d in b[k].items():
-                v = c * d
-                if v.is_zero():
-                    continue
-                prev = target.get(j)
-                if prev is None:
-                    target[j] = v
-                else:
-                    w = prev + v
-                    if w.is_zero():
-                        del target[j]
-                    else:
-                        target[j] = w
+                add_term(target, j, c * d)
     return out
 
 
@@ -186,15 +177,14 @@ def _basis_matrix(lam: Partition, images: tuple[int, ...]) -> Matrix:
     hit = _BASIS_MATRIX_CACHE.get(key)
     if hit is not None:
         return hit
-    word = _cached_word(images)
+    word = word_of(images)
     if not word:
         out = _mat_identity(len(std_tableaux(lam)))
     else:
-        prefix = _id_perm(len(images)).images
-        for i in word[:-1]:
-            prefix = right_gen(prefix, i)
-        gen = rho(lam, word[-1]).as_matrix()
-        out = _mat_mul(_basis_matrix(lam, prefix), gen)
+        # w_pi = w_{pi s_i} sigma_i for the last letter i of pi's reduced word
+        i = word[-1]
+        prefix = _basis_matrix(lam, right_gen(images, i))
+        out = _mat_mul(prefix, rho(lam, i).as_matrix())
     _BASIS_MATRIX_CACHE[key] = out
     return out
 
@@ -211,18 +201,7 @@ def rep_of(x: HeckeElt, parts) -> Matrix:
         for r in range(dim):
             target = out[r]
             for j, d in m[r].items():
-                v = c * d
-                if v.is_zero():
-                    continue
-                prev = target.get(j)
-                if prev is None:
-                    target[j] = v
-                else:
-                    w = prev + v
-                    if w.is_zero():
-                        del target[j]
-                    else:
-                        target[j] = w
+                add_term(target, j, c * d)
     return out
 
 
@@ -267,3 +246,16 @@ def central_scalar(x: HeckeElt, parts) -> Scalar:
         if row.get(r, Scalar.from_int(0)) != value:
             raise ValueError("central element acted non-scalarly")
     return value
+
+
+def phi_apply(f: SymFunc, n: int) -> SymFunc:
+    """The encircling map on the degree-n part: s_lambda -> t_lambda s_lambda."""
+    if f.is_zero():
+        return f
+    if f.homogeneous_degree() != n:
+        raise ValueError(f"phi needs a homogeneous element of degree {n}")
+    tc = t_circle(n)
+    out = SymFunc()
+    for lam, c in to_schur(f).items():
+        out = out + schur(lam).scale(c * central_scalar(tc, lam))
+    return out

@@ -7,9 +7,8 @@ functions enter through the Jacobi-Trudi determinant, power sums through the
 logarithm of the generating series H(t) = 1 + h_1 t + h_2 t^2 + ..., and the
 elementary functions through E(-t)H(t) = 1.  All conversions are exact.
 
-The closed-braid elements A_m and the encircling map come straight from the
-generating-function identities A(t) = H(st)E(-s^{-1}t) and the eigenvalue
-action on the Schur basis.
+The closed-braid elements A_m come straight from the generating-function
+identity A(t) = H(st)E(-s^{-1}t).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .coeff import Scalar, s_pow, z
+from .coeff import Scalar, add_term, s_pow, z
 from .series import DEFAULT_ORDER, TruncSeries
 
 Partition = tuple[int, ...]
@@ -95,14 +94,7 @@ class SymFunc:
         out = SymFunc()
         out.terms = dict(self.terms)
         for p, c in other.terms.items():
-            if p in out.terms:
-                v = out.terms[p] + c
-                if v.is_zero():
-                    del out.terms[p]
-                else:
-                    out.terms[p] = v
-            else:
-                out.terms[p] = c
+            add_term(out.terms, p, c)
         return out
 
     def __neg__(self) -> SymFunc:
@@ -117,19 +109,7 @@ class SymFunc:
         out = SymFunc()
         for p1, c1 in self.terms.items():
             for p2, c2 in other.terms.items():
-                c = c1 * c2
-                if c.is_zero():
-                    continue
-                key = tuple(sorted(p1 + p2, reverse=True))
-                prev = out.terms.get(key)
-                if prev is None:
-                    out.terms[key] = c
-                else:
-                    v = prev + c
-                    if v.is_zero():
-                        del out.terms[key]
-                    else:
-                        out.terms[key] = v
+                add_term(out.terms, tuple(sorted(p1 + p2, reverse=True)), c1 * c2)
         return out
 
     def __eq__(self, other) -> bool:
@@ -148,11 +128,6 @@ class SymFunc:
         if len(degs) != 1:
             return None
         return degs.pop()
-
-    def graded_part(self, d: int) -> SymFunc:
-        out = SymFunc()
-        out.terms = {p: c for p, c in self.terms.items() if sum(p) == d}
-        return out
 
     # -- extra structure ----------------------------------------------------------------------
 
@@ -360,7 +335,7 @@ def to_p(f: SymFunc) -> dict[Partition, Scalar]:
 
 
 # ---------------------------------------------------------------------------
-# Closed-braid elements and the encircling map.
+# Closed-braid elements.
 # ---------------------------------------------------------------------------
 
 
@@ -378,20 +353,3 @@ def closed_braid_A(m: int) -> SymFunc:
         c = s_pow(i) * s_pow(-j).int_mul((-1) ** j)
         acc = acc + (complete(i) * elementary(j)).scale(c)
     return acc.scale(z().inv())
-
-
-def phi_apply(f: SymFunc, n: int) -> SymFunc:
-    """The encircling map on the degree-n part: s_lambda -> t_lambda s_lambda."""
-    if f.is_zero():
-        return f
-    if f.homogeneous_degree() != n:
-        raise ValueError(f"phi needs a homogeneous element of degree {n}")
-    from . import repn
-    from .hecke import t_circle
-
-    tc = t_circle(n)
-    out = SymFunc()
-    for lam, c in to_schur(f).items():
-        t_lam = repn.central_scalar(tc, lam)
-        out = out + schur(lam).scale(c * t_lam)
-    return out

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeff import IntLaurent, Scalar, delta, v_pow
-from .hecke import HeckeElt, PolyTerms, _rmul_gen_poly, h_idem, word_elt
+from .coeff import Scalar, delta, v_pow
+from .hecke import HeckeElt, h_idem, word_elt
+from .perm import Perm, coset_decompose
 from .symfun import SymFunc
-
-_ONE_POLY = IntLaurent.from_int(1)
 
 _BASIS_TRACE: dict[tuple[int, ...], Scalar] = {}
 
@@ -33,26 +32,18 @@ def _basis_trace(images: tuple[int, ...]) -> Scalar:
     hit = _BASIS_TRACE.get(images)
     if hit is not None:
         return hit
-    n = len(images)
-    if n == 0:
+    if not images:
         out = Scalar.from_int(1)
-    elif n == 1:
-        out = delta()
     else:
-        k = images.index(n) + 1
-        rest = tuple(v for v in images if v != n)
-        if k == n:
-            out = delta() * _basis_trace(rest)
+        n = len(images)
+        u, k = coset_decompose(Perm(images))
+        if k is None:
+            out = delta() * _basis_trace(u.images)
         else:
             # w_pi = w_u sigma_{n-1} (sigma_{n-2}...sigma_k); closing the top
             # strand through the single sigma_{n-1} gives the curl factor.
-            terms: PolyTerms = {rest: _ONE_POLY}
-            for i in range(n - 2, k - 1, -1):
-                terms = _rmul_gen_poly(terms, i, +1)
-            acc = Scalar.from_int(0)
-            for im, c in terms.items():
-                acc = acc + Scalar.from_poly(c) * _basis_trace(im)
-            out = v_pow(-1) * acc
+            tail = HeckeElt.basis(u).rmul_word(range(n - 2, k - 1, -1))
+            out = v_pow(-1) * markov_ev(tail)
     _BASIS_TRACE[images] = out
     return out
 

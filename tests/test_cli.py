@@ -123,9 +123,15 @@ def test_bad_word_token_named(capsys):
 
 
 def test_bad_element_named(capsys):
-    code, out, err = run(capsys, "eval", "--elem", "h1*zap")
-    assert code == 2
-    assert "'zap'" in err
+    for elem, named in (
+        ("h1*zap", "'zap'"),
+        ("9" * 5000, "'99999999"),
+        ("h" + "1" * 5000, "'h1111111"),
+    ):
+        code, out, err = run(capsys, "eval", "--elem", elem)
+        assert code == 2
+        assert "cannot parse element factor " + named in err
+        assert len(err) < 200
 
 
 def test_element_degree_rejected_before_building(capsys):

@@ -11,7 +11,6 @@ from heckeskein.hecke import (
     elem_murphy_series,
     gamma_elt,
     h_idem,
-    mul_basis_by_gen,
     murphy_M,
     murphy_series,
     murphy_T,
@@ -37,15 +36,26 @@ def rand_elt(rng, n, terms=3):
     return out
 
 
-def test_mul_basis_by_gen_examples():
-    assert mul_basis_by_gen(Perm((1, 2)), 1) == word_elt(2, [1])
+def test_rmul_word_examples():
+    assert HeckeElt.basis(Perm((1, 2))).rmul_word([1]) == word_elt(2, [1])
     zz = z()
-    assert mul_basis_by_gen(Perm((2, 1)), 1) == HeckeElt.identity(2) + word_elt(
-        2, [1]
-    ).scale(zz)
-    assert mul_basis_by_gen(Perm((2, 1)), 1, -1) == HeckeElt.identity(2)
+    assert HeckeElt.basis(Perm((2, 1))).rmul_word([1]) == HeckeElt.identity(
+        2
+    ) + word_elt(2, [1]).scale(zz)
+    assert HeckeElt.basis(Perm((2, 1))).rmul_word([-1]) == HeckeElt.identity(2)
     with pytest.raises(ValueError):
-        mul_basis_by_gen(Perm((1, 2)), 2)
+        HeckeElt.basis(Perm((1, 2))).rmul_word([2])
+
+
+def test_rmul_word_matches_product():
+    rng = random.Random(20)
+    for n in range(1, 5):
+        for _ in range(6):
+            # delta's denominator s^2 - 1 forces the common-denominator path
+            x = rand_elt(rng, n).scale(delta())
+            letters = [i for i in range(1 - n, n) if i != 0]
+            w = [rng.choice(letters) for _ in range(rng.randint(0, 6))] if letters else []
+            assert x.rmul_word(w) == x * word_elt(n, w)
 
 
 def test_word_elt_examples():

@@ -5,7 +5,7 @@ import pytest
 
 from heckeskein.coeff import ONE, Scalar, delta, s_pow, v_pow, z
 from heckeskein.hecke import t_circle, word_elt
-from heckeskein.repn import central_scalar, closure, partitions_of
+from heckeskein.repn import central_scalar, closure, partitions_of, phi_apply
 from heckeskein.series import TruncSeries
 from heckeskein.symfun import (
     SymFunc,
@@ -15,7 +15,6 @@ from heckeskein.symfun import (
     elementary,
     elementary_series,
     from_p,
-    phi_apply,
     power_sum,
     schur,
     to_p,
