@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import repn, symfun, trace
-from .coeff import Scalar, quantum_int, s_pow, v_pow, z
+from .coeff import Scalar, delta, quantum_int, s_pow, v_pow, z
 from .hecke import (
     HeckeElt,
     a_sym,
@@ -95,8 +95,6 @@ def _check_murphy_commute(n: int, degree: int) -> VerifyReport:
 
 def _check_murphy_sum_central(n: int, degree: int) -> VerifyReport:
     rep = VerifyReport("murphy-sum-central", {"n": n, "degree": degree})
-    from .coeff import delta
-
     zz_v = z() * v_pow(-1)
     for m in range(1, n + 1):
         tc = t_circle(m)
@@ -482,9 +480,6 @@ def main(argv=None) -> int:
             payload = cmd_eval(args.elem)
             _emit(payload, args.pretty, args.out)
             return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

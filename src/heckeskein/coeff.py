@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 ExpPair = tuple[int, int]  # (e_v, e_s)
 
@@ -236,236 +235,140 @@ def _fmt_poly(p: IntLaurent) -> str:
 # the other input's v-coefficients, each in Z[s]; likewise with v and s
 # swapped.  Every denominator the library builds (quantum integers, z, the
 # seminormal factors 1 - s^{-2d}) lies in Z[s], so the fold is the common
-# path.  Univariate gcds use the subresultant polynomial remainder sequence
-# (PRS) over Z.  Only two inputs that each use both variables run the PRS
-# with coefficients in Z[v], recursing for contents.  Nested dense lists:
-# a depth-1 poly is a list of ints, a depth-2 poly a list of depth-1 polys.
+# path.  Its univariate gcd, _dense_gcd, is the subresultant polynomial
+# remainder sequence (PRS) over Z on dense int lists (index = exponent).
+# Only two inputs that each use both variables reach _prs_gcd, a primitive
+# PRS in s over Z[v] on IntLaurent values, whose Z[v] contents are folds of
+# _dense_gcd.
 # ---------------------------------------------------------------------------
 
 
-def _trim(p: list) -> list:
-    while p and _p_is_zero_coeff(p[-1]):
+def _trim(p: list[int]) -> list[int]:
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def _p_is_zero_coeff(c) -> bool:
-    return c == 0 if isinstance(c, int) else not c
+def _exact(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact coefficient division")
+    return q
 
 
-def _p_one(depth: int):
-    return [1] if depth == 1 else [[1]]
+def _primitive(p: list[int]) -> list[int]:
+    c = math.gcd(*p)
+    return p if c == 1 else [x // c for x in p]
 
 
-def _c_add(a, b):
-    if isinstance(a, int):
-        return a + b
-    return _trim([x + y for x, y in _zip_pad(a, b)])
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder lc(b)^{deg a - deg b + 1} * a mod b.
 
-
-def _zip_pad(a: list, b: list) -> Iterator[tuple]:
-    n = max(len(a), len(b))
-    zero = 0 if (a and isinstance(a[0], int)) or (b and isinstance(b[0], int)) else []
-    for i in range(n):
-        yield (a[i] if i < len(a) else zero, b[i] if i < len(b) else zero)
-
-
-def _c_neg(a):
-    if isinstance(a, int):
-        return -a
-    return [-x for x in a]
-
-
-def _c_mul(a, b):
-    if isinstance(a, int):
-        return a * b
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
-
-def _c_divexact(a, b):
-    """Exact division of coefficients (ints or int-lists)."""
-    if isinstance(a, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact coefficient division")
-        return q
-    return _list_divexact(a, b)
-
-
-def _list_divexact(a: list[int], b: list[int]) -> list[int]:
-    if not a:
-        return []
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1]
-        if c == 0:
-            continue
-        qc, r = divmod(c, b[-1])
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        q[i] = qc
-        for j, y in enumerate(b):
-            a[i + j] -= qc * y
-    if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    return _trim(q)
-
-
-def _int_list_gcd(cs: Iterable[int]) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g
-
-
-def _p_content(p: list, depth: int):
-    if depth == 1:
-        return _int_list_gcd(p)
-    g: list = []
-    for c in p:
-        g = _gcd_lists(g, c, 1)
-        if g == [1]:
-            return g
-    return g
-
-
-def _p_primitive(p: list, depth: int) -> tuple:
-    if not p:
-        return (_p_one(depth - 1) if depth == 2 else 1), p
-    cont = _p_content(p, depth)
-    if depth == 1:
-        if cont == 1:
-            return 1, p
-        return cont, [c // cont for c in p]
-    if cont == [1]:
-        return cont, p
-    return cont, [_list_divexact(c, cont) for c in p]
-
-
-def _p_pseudo_rem(a: list, b: list, depth: int) -> list:
-    """Pseudo-remainder lc(b)^{deg a - deg b + 1} * a mod b."""
-    lb = b[-1]
+    One step per degree of a from deg a down to deg b, so the power of
+    lc(b) is exact even where the remainder's degree drops by more than one.
+    """
+    lb, db = b[-1], len(b) - 1
     r = list(a)
-    steps = len(a) - len(b) + 1
-    used = 0
-    while r and len(r) >= len(b):
-        lr = r[-1]
-        r = [_c_mul(lb, x) for x in r[:-1]]
-        used += 1
-        shift = len(r) - (len(b) - 1)
-        for j, y in enumerate(b[:-1]):
-            r[shift + j] = _c_add(r[shift + j], _c_neg(_c_mul(lr, y)))
-        r = _trim(r)
-    # degree may drop by more than one per step; pad the lc(b) factor
-    for _ in range(steps - used):
-        r = [_c_mul(lb, x) for x in r]
+    for k in range(len(a) - 1, db - 1, -1):
+        lr = r.pop()
+        r = [lb * c for c in r]
+        if lr:
+            off = k - db
+            for j in range(db):
+                r[off + j] -= lr * b[j]
+    return _trim(r)
+
+
+def _subresultant_prs(a: list[int], b: list[int]) -> list[int]:
+    """Last nonzero member of the subresultant PRS of a and b (deg a >= deg b)."""
+    g = h = 1
+    while len(b) > 1:
+        d = len(a) - len(b)
+        r = _pseudo_rem(a, b)
+        if not r:
+            break
+        divisor = g * h ** d
+        a, b = b, [_exact(c, divisor) for c in r]
+        g = a[-1]
+        if d:
+            h = _exact(g ** d, h ** (d - 1))
+    return b
+
+
+def _dense_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd over Z of two nonzero dense polynomials; its lead is positive."""
+    cg = math.gcd(math.gcd(*a), math.gcd(*b))
+    a, b = _primitive(a), _primitive(b)
+    b = _subresultant_prs(a, b) if len(a) >= len(b) else _subresultant_prs(b, a)
+    if len(b) == 1:
+        return [cg]
+    c = math.gcd(*b)
+    if b[-1] < 0:
+        c = -c
+    return [cg * (x // c) for x in b]
+
+
+def _fold_gcd(r: list[int], slices: list[list[int]]) -> list[int]:
+    """Gcd of r and every slice, stopping once it reaches 1."""
+    for c in slices:
+        r = _dense_gcd(r, c)
+        if r == [1]:
+            break
     return r
 
 
-def _c_pow(c, n: int, depth: int):
-    out = 1 if depth == 1 else [1]
-    for _ in range(n):
-        out = _c_mul(out, c)
-    return out
+def _from_dense(p: list[int], in_s: bool) -> IntLaurent:
+    """Dense coefficients of a polynomial in s (in_s) or in v -> IntLaurent."""
+    return IntLaurent({((0, i) if in_s else (i, 0)): c for i, c in enumerate(p) if c})
 
 
-def _gcd_lists(a: list, b: list, depth: int) -> list:
-    """Gcd of nested dense polys; result primitive-part normalized."""
-    if not a:
-        return _pos_normal(b, depth)
-    if not b:
-        return _pos_normal(a, depth)
-    ca, pa = _p_primitive(a, depth)
-    cb, pb = _p_primitive(b, depth)
-    if depth == 1:
-        cg: object = math.gcd(ca, cb)
-    else:
-        cg = _gcd_lists(ca, cb, 1) if not isinstance(ca, int) else math.gcd(ca, cb)
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    # Subresultant PRS on primitive parts.
-    g = 1 if depth == 1 else [1]
-    h = 1 if depth == 1 else [1]
-    while True:
-        d = len(pa) - len(pb)
-        r = _p_pseudo_rem(pa, pb, depth)
-        if not r:
+def _s_deg(p: IntLaurent) -> int:
+    return max(e[1] for e in p.terms)
+
+
+def _s_coeff(p: IntLaurent, k: int) -> IntLaurent:
+    """The coefficient of s^k in p, an element of Z[v^{±1}]."""
+    return IntLaurent({(a, 0): c for (a, b), c in p.terms.items() if b == k})
+
+
+def _v_primitive(p: IntLaurent) -> tuple[list[int], IntLaurent]:
+    """Content of p in Z[v] up to a unit, and its primitive part.
+
+    The content is a dense list in v; the primitive part has no monomial factor.
+    """
+    first, *rest = _slices(p, False)
+    cont = _fold_gcd(first, rest)
+    return cont, _strip_monomial(laurent_divexact(p, _from_dense(cont, False)))
+
+
+def _s_pseudo_rem(a: IntLaurent, b: IntLaurent) -> IntLaurent:
+    """Pseudo-remainder of a by b as polynomials in s over Z[v]."""
+    db = _s_deg(b)
+    lb = _s_coeff(b, db)
+    r = a
+    for k in range(_s_deg(a), db - 1, -1):
+        r = r * lb - (_s_coeff(r, k) * b).shift(0, k - db)
+    return r
+
+
+def _prs_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
+    """Gcd of two nonzero stripped polynomials by a primitive PRS in s over Z[v].
+
+    Either input may lie in one variable; the result is canonical as in
+    poly_gcd.  Each primitive part has no monomial factor, so it is prime to
+    s, and stripping the monomial factor of a remainder keeps the gcd.
+    """
+    cf, a = _v_primitive(f)
+    cg, b = _v_primitive(g)
+    if _s_deg(a) < _s_deg(b):
+        a, b = b, a
+    while _s_deg(b):
+        r = _s_pseudo_rem(a, b)
+        if r.is_zero():
             break
-        if len(r) == 1:
-            pb = _p_one(depth)
-            break
-        pa, pb = pb, r
-        divisor = _c_mul(g, _c_pow(h, d, depth))
-        pb = [_c_divexact(c, divisor) for c in pb]
-        g = pa[-1]
-        if d == 0:
-            pass  # h unchanged
-        elif d == 1:
-            h = g
-        else:
-            h = _c_divexact(_c_pow(g, d, depth), _c_pow(h, d - 1, depth))
-    _, pg = _p_primitive(pb, depth)
-    if depth == 1:
-        out = [cg * c for c in pg]
-    else:
-        out = [_c_mul(cg, c) for c in pg]
-    return _pos_normal(out, depth)
-
-
-def _pos_normal(p: list, depth: int) -> list:
-    if not p:
-        return p
-    lead = p[-1]
-    neg = (lead < 0) if isinstance(lead, int) else (lead[-1] < 0)
-    if neg:
-        return [_c_neg(c) for c in p]
-    return list(p)
-
-
-def _to_lists(p: IntLaurent, main_s: bool) -> list:
-    """Genuine polynomial -> nested list [coeff in other var][main exp]."""
-    deg_main = max(e[1] if main_s else e[0] for e in p.terms)
-    deg_other = max(e[0] if main_s else e[1] for e in p.terms)
-    if deg_other == 0:
-        out: list = [0] * (deg_main + 1)
-        for (a, b), c in p.terms.items():
-            out[b if main_s else a] = c
-        return out
-    out = [[0] * (deg_other + 1) for _ in range(deg_main + 1)]
-    for (a, b), c in p.terms.items():
-        if main_s:
-            out[b][a] = c
-        else:
-            out[a][b] = c
-    return [_trim(row) for row in out]
-
-
-def _to_depth2(p: IntLaurent) -> list:
-    """Genuine polynomial -> depth-2 list over Z[v][s], main variable s."""
-    return [c if isinstance(c, list) else ([c] if c else []) for c in _to_lists(p, True)]
-
-
-def _from_lists(p: list, main_s: bool, depth: int) -> IntLaurent:
-    terms: dict[ExpPair, int] = {}
-    for i, c in enumerate(p):
-        if depth == 1:
-            if c:
-                terms[(0, i) if main_s else (i, 0)] = c
-        else:
-            for j, cc in enumerate(c):
-                if cc:
-                    terms[(j, i) if main_s else (i, j)] = cc
-    return IntLaurent(terms)
+        a, b = b, _v_primitive(r)[1]
+    # b is the primitive gcd, or a unit once its degree in s reaches 0
+    return canon_poly_part(_from_dense(_dense_gcd(cf, cg), False) * b)
 
 
 def poly_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
@@ -488,27 +391,24 @@ def poly_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
     fv, fs = f0.uses_v(), f0.uses_s()
     gv, gs = g0.uses_v(), g0.uses_s()
     if fv and fs and gv and gs:
-        r = _gcd_lists(_to_depth2(f0), _to_depth2(g0), 2)
-        return canon_poly_part(_from_lists(r, True, 2))
+        return _prs_gcd(f0, g0)
     # one input lies in one variable (in_s: it lies in Z[s]); fold over the
-    # other input's coefficients
+    # other input's coefficients.  A stripped input in one variable is its
+    # own only slice.
     if not (fv and fs):
         uni, other, in_s = f0, g0, not fv
     else:
         uni, other, in_s = g0, f0, not gv
-    r = _to_lists(uni, in_s)
-    for c in _slices(other, in_s):
-        r = _gcd_lists(r, c, 1)
-        if r == [1]:
-            break
-    return _from_lists(r, in_s, 1)
+    (r,) = _slices(uni, in_s)
+    return _from_dense(_fold_gcd(r, _slices(other, in_s)), in_s)
 
 
 def _slices(p: IntLaurent, in_s: bool) -> list[list[int]]:
     """Coefficients of p in Z[s] (in_s) or Z[v], as dense lists.
 
-    Each slice drops its lowest power of the main variable: the running gcd
-    in poly_gcd divides a stripped input, so it is prime to that variable.
+    Each slice drops its lowest power of the main variable.  That keeps the
+    fold in poly_gcd exact, as its running gcd divides a stripped input and
+    so is prime to that variable, and changes a content only by a unit.
     """
     rows: dict[int, dict[int, int]] = {}
     for (a, b), c in p.terms.items():
@@ -678,7 +578,7 @@ class Scalar:
             g1 = _gcd_cached(t, b)
             if g1.is_one():
                 return Scalar._raw(t, b)
-            return _normalize(laurent_divexact(t, g1), laurent_divexact(b, g1))
+            return Scalar(laurent_divexact(t, g1), laurent_divexact(b, g1))
         g0 = _L_ONE if (b.is_one() or d.is_one()) else _gcd_cached(b, d)
         if g0.is_one():
             t = self.num * d + other.num * b
@@ -693,7 +593,7 @@ class Scalar:
         g1 = _gcd_cached(t, g0)
         if g1.is_one():
             return _normalize_coprime(t, b1 * d)
-        return _normalize(
+        return Scalar(
             laurent_divexact(t, g1),
             laurent_divexact(b, g1) * d1,
         )
@@ -710,7 +610,7 @@ class Scalar:
         a, b = self.num, self.den
         c, d = other.num, other.den
         if b.is_one() and d.is_one():
-            return _normalize(a * c, _L_ONE)
+            return Scalar(a * c, _L_ONE)
         g1 = _L_ONE if d.is_one() else _gcd_cached(a, d)
         g2 = _L_ONE if b.is_one() else _gcd_cached(c, b)
         if not g1.is_one():
@@ -767,7 +667,7 @@ class Scalar:
 
     def mirror(self) -> Scalar:
         """Substitute v -> v^{-1}, s -> s^{-1}; an involution."""
-        return _normalize(self.num.mirror(), self.den.mirror())
+        return Scalar(self.num.mirror(), self.den.mirror())
 
     def eval_rational(self, v0, s0) -> Fraction:
         """Exact value at rational (v0, s0); raises on a pole."""
@@ -803,19 +703,11 @@ def _poly_from_json(rows: list) -> IntLaurent:
     return IntLaurent({(int(a), int(b)): int(c) for a, b, c in rows})
 
 
-def _normalize(num: IntLaurent, den: IntLaurent) -> Scalar:
-    num, den = _reduce(num, den)
-    return Scalar._raw(num, den)
-
-
 def _reduce(num: IntLaurent, den: IntLaurent) -> tuple[IntLaurent, IntLaurent]:
     if num.is_zero():
         return _L_ZERO, _L_ONE
     if den.is_monomial():
-        c = math.gcd(num.int_content(), den.int_content())
-        if c > 1:
-            num = IntLaurent({e: k // c for e, k in num.terms.items()})
-            den = IntLaurent({e: k // c for e, k in den.terms.items()})
+        num, den = _divide_int_content(num, den)
     else:
         g = _gcd_cached(num, den)
         if not g.is_one():
@@ -828,14 +720,17 @@ def _normalize_coprime(num: IntLaurent, den: IntLaurent) -> Scalar:
     """Normalize when num/den are known coprime up to units and contents."""
     if num.is_zero():
         return ZERO
-    cn = num.int_content()
-    cd = den.int_content()
-    g = math.gcd(cn, cd)
+    num, den = _unit_normalize(*_divide_int_content(num, den))
+    return Scalar._raw(num, den)
+
+
+def _divide_int_content(num: IntLaurent, den: IntLaurent) -> tuple[IntLaurent, IntLaurent]:
+    """Divide num and den by the gcd of their integer contents."""
+    g = math.gcd(num.int_content(), den.int_content())
     if g > 1:
         num = IntLaurent({e: c // g for e, c in num.terms.items()})
         den = IntLaurent({e: c // g for e, c in den.terms.items()})
-    num, den = _unit_normalize(num, den)
-    return Scalar._raw(num, den)
+    return num, den
 
 
 def _unit_normalize(num: IntLaurent, den: IntLaurent) -> tuple[IntLaurent, IntLaurent]:

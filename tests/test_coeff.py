@@ -8,11 +8,9 @@ from heckeskein.coeff import (
     ZERO,
     IntLaurent,
     Scalar,
-    _from_lists,
-    _gcd_lists,
+    _prs_gcd,
     _strip_monomial,
-    _to_depth2,
-    canon_poly_part,
+    _subresultant_prs,
     delta,
     laurent_divexact,
     poly_gcd,
@@ -72,9 +70,8 @@ def test_canonical_den_invariants_random():
 
 
 def prs_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
-    """Reference gcd: the depth-2 PRS over Z[v][s], whatever variables f, g use."""
-    a, b = (_to_depth2(_strip_monomial(p)) for p in (f, g))
-    return canon_poly_part(_from_lists(_gcd_lists(a, b, 2), True, 2))
+    """Reference gcd: the primitive PRS in s over Z[v], whatever variables f, g use."""
+    return _prs_gcd(_strip_monomial(f), _strip_monomial(g))
 
 
 def test_poly_gcd_sign_on_bivariate_path():
@@ -122,6 +119,54 @@ def test_poly_gcd_fold_matches_prs_random():
         ref = prs_gcd(f, g)
         assert poly_gcd(f, g) == ref
         assert poly_gcd(g, f) == ref
+
+
+def test_poly_gcd_knuth_pair():
+    # TAOCP vol. 2, 4.6.1: a coprime pair whose PRS drops two degrees at once
+    A = [-5, 2, 8, -3, -3, 0, 1, 0, 1]
+    B = [21, -9, -4, 0, 5, 0, 3]
+    C = [1, 1, 1]
+
+    def poly(cs, in_s):
+        return IntLaurent({((0, i) if in_s else (i, 0)): c for i, c in enumerate(cs) if c})
+
+    # Knuth's subresultant PRS ends in the resultant; a skipped h update
+    # leaves every division exact but gives 4860838707763345551562500
+    assert _subresultant_prs(A, B) == [260708]
+    for in_s in (True, False):
+        a, b, c = poly(A, in_s), poly(B, in_s), poly(C, in_s)
+        assert poly_gcd(a, b).is_one()
+        assert poly_gcd(a * c.int_mul(6), b * c.int_mul(4)) == c.int_mul(2)
+    s, v = IntLaurent.monomial(1, 0, 1), IntLaurent.monomial(1, 1, 0)
+    a, b = poly(A, True) + v, v * poly(B, True) + s
+    cc = v * s + s.int_mul(2) - v
+    assert poly_gcd(a * cc, b * cc) == cc
+
+
+def test_poly_gcd_bivariate_random():
+    rng = random.Random(2002)
+
+    def both_vars():
+        while True:
+            p = IntLaurent({
+                (rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-4, 4)
+                for _ in range(rng.randint(2, 4))
+            })
+            if p.is_zero():
+                continue
+            q = _strip_monomial(p)
+            if q.uses_v() and q.uses_s():
+                return p
+
+    for _ in range(100):
+        a, b = both_vars(), both_vars()
+        c = both_vars().int_mul(rng.choice((1, 2, 3)))
+        f, g = c * a, c * b
+        r = poly_gcd(f, g)
+        laurent_divexact(r, c)  # c divides the gcd
+        fa, gb = laurent_divexact(f, r), laurent_divexact(g, r)
+        assert poly_gcd(fa, gb).is_one()
+        assert poly_gcd(g, f) == r
 
 
 def test_quantum_int_examples():

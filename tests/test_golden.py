@@ -1,0 +1,38 @@
+"""CLI stdout on a fixed set of commands, compared by SHA-256 digest.
+
+The digests record the output of a known-good version; a change that alters
+any answer, its formatting or the order of its output fails here.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from heckeskein.cli import main
+
+GOLDEN = [
+    (["characters", "--n", "4"],
+     "1f369f096a586a20c7c4ded6d94666dd5bdcf36d6ea28b5906e27d77147bab0d"),
+    (["psi", "--n", "4", "--elem", "h2*e2"],
+     "40831a9b49e95d0ded03a7c43e710146b3281c706cc1e553f207ff7e94752acb"),
+    (["psi", "--n", "0", "--elem", "p1"],
+     "5139946a363fc52d766dbb0731177a8ad1321883815d1da2d3e3c76ce9c176e7"),
+    (["homfly", "--strands", "4", "--word", "1 -2 3 1 -2 3 2"],
+     "451a31d7107f45c8b415e167ec136bdd7ac0a00acc93bb83b0cce2516584fa80"),
+    (["closure", "--strands", "4", "--word", "1 -2 3 1"],
+     "6707fe5d2e17926cf630868fe3359c774223ebbc38de17d2d2a1a2ae1341b5fd"),
+    (["eval", "--elem", "h2*e1*p1*s(2,1)"],
+     "4f6f7eb664797a5ce437cf48dbd08aa38c8d1914e5365076a9518d24e1253d59"),
+    (["verify", "all", "--n", "3", "--degree", "3"],
+     "66900efb8f88d14af1f651a0e2e7f03e4c9ac2bb4d5b25fcea7174900b633c34"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_stdout(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    # timings are the only part of stdout that may vary from run to run
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
