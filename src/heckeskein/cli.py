@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -167,10 +168,7 @@ def _check_eh_inverse(n: int, degree: int) -> VerifyReport:
     rep = VerifyReport("eh-inverse", {"degree": degree})
     H = symfun.complete_series(degree)
     E = symfun.elementary_series(degree)
-    E_neg = TruncSeries(
-        [c.scale(Scalar.from_int((-1) ** k)) for k, c in enumerate(E.coeffs)]
-    )
-    prod = E_neg * H
+    prod = E.scale_t(Scalar.from_int(-1)) * H
     one = TruncSeries.one(SymFunc.one(), degree)
     for k in range(degree + 1):
         rep.record(f"[t^{k}] E(-t)H(t) = [t^{k}] 1", prod.coeffs[k] == one.coeffs[k])
@@ -418,11 +416,30 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", type=str, default=None, help="write JSON to a file")
 
 
+def _check_writable(path: str):
+    """Fail before any computation if the --out path cannot be written.
+
+    Opening for append creates no content and truncates nothing; a file the
+    probe created is removed again.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _emit(payload, pretty: bool, out: str | None, render=None):
     text = json.dumps(payload, indent=2 if pretty else None, sort_keys=False)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc.strerror}") from None
     if pretty and render is not None:
         print(render(payload))
         return
@@ -450,6 +467,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.out:
+            _check_writable(args.out)
         if args.command == "verify":
             n = _bounded(args.n, "--n", 1, MAX_N)
             degree = _bounded(args.degree, "--degree", 0, MAX_DEGREE)

@@ -536,10 +536,6 @@ class Scalar:
     def monomial(c: int, e_v: int, e_s: int) -> Scalar:
         return Scalar._raw(IntLaurent.monomial(c, e_v, e_s), _L_ONE)
 
-    @staticmethod
-    def from_poly(p: IntLaurent) -> Scalar:
-        return Scalar._raw(p, _L_ONE)
-
     # -- predicates -------------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -1,6 +1,16 @@
 """The Hecke algebra H_n in its positive-permutation-braid basis.
 
-An element is a finite Scalar-linear combination of the n! braids w_pi.
+An element is a finite linear combination of the n! braids w_pi, stored as
+integer Laurent-polynomial numerators over one common denominator:
+
+    x = (1/den) * sum over pi of nums[pi] w_pi,
+
+with nums keyed by the one-line images of pi.  The form is canonical, so
+equality is structural: den is a genuine polynomial with no monomial factor
+and a positive lex-leading coefficient, and no non-unit factor of den
+divides every numerator.  `terms` shows the same element as a read-only
+{Perm: Scalar} map of reduced coefficients, built on first use.
+
 Right multiplication by a generator is the only structural operation:
 
     w_pi . sigma_i = w_{pi s_i}                 if the length goes up,
@@ -10,18 +20,22 @@ with z = s - s^{-1}, and sigma_i^{-1} = sigma_i - z.  A general product
 x * y expands every braid of y along its canonical reduced word, which is
 valid because lengths are additive along reduced words.
 
-Products and the mirror map work internally on a common denominator, so the
-coefficient arithmetic inside a product is pure Laurent-polynomial work; the
-single gcd per output coefficient happens when the result is rebuilt.
+sigma_i^{±1} acts on the numerators by a matrix invertible over
+Z[s^{±1}], so braid words keep the form canonical.  Sums, products,
+scalings and the mirror map renormalise once, in _normal: a gcd of den
+folded over the numerators, then the unit.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .coeff import (
     IntLaurent,
     Scalar,
     add_term,
-    canon_poly_part,
     delta,
     laurent_divexact,
     poly_gcd,
@@ -49,27 +63,43 @@ PolyTerms = dict[Images, IntLaurent]
 
 
 class HeckeElt:
-    """Element of H_n as a sparse map from permutations to Scalars."""
+    """Element of H_n: numerators nums[images] over one denominator den."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "nums", "den", "_terms")
 
-    def __init__(self, n: int, terms: dict[Perm, Scalar] | None = None):
+    def __init__(self, n: int, terms: Mapping[Perm, Scalar] | None = None):
+        """The element sum of terms[pi] w_pi, over the lcm of its denominators."""
+        terms = terms or {}
+        den = _ONE_POLY
+        for p, c in terms.items():
+            if p.n != n:
+                raise ValueError(f"permutation size {p.n} != strand count {n}")
+            if not c.den.is_one():
+                den = den * laurent_divexact(c.den, poly_gcd(den, c.den))
         self.n = n
-        self.terms: dict[Perm, Scalar] = {}
-        if terms:
-            for p, c in terms.items():
-                if p.n != n:
-                    raise ValueError(f"permutation size {p.n} != strand count {n}")
-                if not c.is_zero():
-                    self.terms[p] = c
+        self.nums: PolyTerms = {
+            p.images: c.num * laurent_divexact(den, c.den)
+            for p, c in terms.items()
+            if not c.is_zero()
+        }
+        self.den = den
+        self._terms = None
+
+    @property
+    def terms(self) -> Mapping[Perm, Scalar]:
+        """The coefficients as a read-only {Perm: Scalar} map, each reduced."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType(
+                {Perm(im): Scalar(c, den) for im, c in self.nums.items()}
+            )
+        return self._terms
 
     # -- constructors -----------------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> HeckeElt:
-        out = HeckeElt(n)
-        out.terms[identity(n)] = Scalar.from_int(1)
-        return out
+        return _elt(n, {identity(n).images: _ONE_POLY}, _ONE_POLY)
 
     @staticmethod
     def zero(n: int) -> HeckeElt:
@@ -77,16 +107,13 @@ class HeckeElt:
 
     @staticmethod
     def basis(p: Perm) -> HeckeElt:
-        out = HeckeElt(p.n)
-        out.terms[p] = Scalar.from_int(1)
-        return out
+        return _elt(p.n, {p.images: _ONE_POLY}, _ONE_POLY)
 
     @staticmethod
     def scalar(n: int, c: Scalar) -> HeckeElt:
-        out = HeckeElt(n)
-        if not c.is_zero():
-            out.terms[identity(n)] = c
-        return out
+        if c.is_zero():
+            return HeckeElt(n)
+        return _elt(n, {identity(n).images: c.num}, c.den)
 
     # -- coefficient-algebra protocol ----------------------------------------------
 
@@ -97,29 +124,31 @@ class HeckeElt:
         return HeckeElt.identity(self.n)
 
     def scale(self, c: Scalar) -> HeckeElt:
-        out = HeckeElt(self.n)
         if c.is_zero():
-            return out
-        for p, k in self.terms.items():
-            v = k * c
-            if not v.is_zero():
-                out.terms[p] = v
-        return out
+            return HeckeElt(self.n)
+        k = c.num
+        return _normal(
+            self.n, {im: a * k for im, a in self.nums.items()}, self.den * c.den
+        )
 
     # -- linear structure --------------------------------------------------------------
 
     def __add__(self, other: HeckeElt) -> HeckeElt:
         self._check(other)
-        out = HeckeElt(self.n)
-        out.terms = dict(self.terms)
-        for p, c in other.terms.items():
-            add_term(out.terms, p, c)
-        return out
+        a, b = self.den, other.den
+        if a == b:
+            fa = fb = _ONE_POLY
+        else:
+            # bring both sides over the lcm a * (b/g)
+            g = poly_gcd(a, b)
+            fa, fb = laurent_divexact(b, g), laurent_divexact(a, g)
+        nums = {im: c * fa for im, c in self.nums.items()}
+        for im, c in other.nums.items():
+            add_term(nums, im, c * fb)
+        return _normal(self.n, nums, a * fa)
 
     def __neg__(self) -> HeckeElt:
-        out = HeckeElt(self.n)
-        out.terms = {p: -c for p, c in self.terms.items()}
-        return out
+        return _elt(self.n, {im: -c for im, c in self.nums.items()}, self.den)
 
     def __sub__(self, other: HeckeElt) -> HeckeElt:
         return self + (-other)
@@ -128,11 +157,12 @@ class HeckeElt:
         return (
             isinstance(other, HeckeElt)
             and self.n == other.n
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def _check(self, other: HeckeElt):
         if self.n != other.n:
@@ -142,29 +172,25 @@ class HeckeElt:
 
     def __mul__(self, other: HeckeElt) -> HeckeElt:
         self._check(other)
-        if not self.terms or not other.terms:
-            return HeckeElt(self.n)
-        xt, xd = _poly_form(self)
-        yt, yd = _poly_form(other)
         acc: PolyTerms = {}
-        for rho, c_rho in yt.items():
-            cur = xt
+        for rho, c_rho in other.nums.items():
+            cur = self.nums
             for i in word_of(rho):
                 cur = _rmul_gen_poly(cur, i, +1)
             for im, c in cur.items():
                 add_term(acc, im, c * c_rho)
-        return _from_poly_form(self.n, acc, xd * yd)
+        return _normal(self.n, acc, self.den * other.den)
 
     def rmul_word(self, word) -> HeckeElt:
         """self * sigma_{|i|}^{sign(i)} over the letters i of a braid word."""
-        terms, d = _poly_form(self)
+        nums = self.nums
         for i in word:
             if i == 0 or not (1 <= abs(i) <= self.n - 1):
                 raise ValueError(
                     f"braid letter {i} out of range for {self.n} strands"
                 )
-            terms = _rmul_gen_poly(terms, abs(i), 1 if i > 0 else -1)
-        return _from_poly_form(self.n, terms, d)
+            nums = _rmul_gen_poly(nums, abs(i), 1 if i > 0 else -1)
+        return _elt(self.n, nums, self.den)
 
     # -- the skein structure --------------------------------------------------------------
 
@@ -172,36 +198,23 @@ class HeckeElt:
         """Image under the standard inclusion H_n -> H_{n_new}."""
         if n_new < self.n:
             raise ValueError(f"cannot include H_{self.n} into smaller H_{n_new}")
-        if n_new == self.n:
-            return self
         pad = tuple(range(self.n + 1, n_new + 1))
-        out = HeckeElt(n_new)
-        out.terms = {Perm(p.images + pad): c for p, c in self.terms.items()}
-        return out
+        return _elt(n_new, {im + pad: c for im, c in self.nums.items()}, self.den)
 
     def mirror(self) -> HeckeElt:
         """Switch all crossings and invert v and s; an involution."""
         acc: PolyTerms = {}
-        dens: list[IntLaurent] = []
-        parts = []
-        for p, c in self.terms.items():
+        for images, c in self.nums.items():
             mc = c.mirror()
-            parts.append((p.images, mc))
-            dens.append(mc.den)
-        d = _lcm_all(dens)
-        for images, mc in parts:
-            factor = mc.num * laurent_divexact(d, mc.den)
             for im, cc in _mirror_basis(images).items():
-                add_term(acc, im, cc * factor)
-        return _from_poly_form(self.n, acc, d)
+                add_term(acc, im, cc * mc)
+        return _normal(self.n, acc, self.den.mirror())
 
     def is_central(self) -> bool:
-        terms, d = _poly_form(self)
-        for i in range(1, self.n):
-            left = _from_poly_form(self.n, _lmul_gen_poly(terms, i), d)
-            if self.rmul_word([i]) != left:
-                return False
-        return True
+        return all(
+            _rmul_gen_poly(self.nums, i, +1) == _lmul_gen_poly(self.nums, i)
+            for i in range(1, self.n)
+        )
 
     # -- serialization ------------------------------------------------------------------------
 
@@ -214,61 +227,54 @@ class HeckeElt:
 
     @staticmethod
     def from_json(obj: dict) -> HeckeElt:
-        n = int(obj["n"])
-        out = HeckeElt(n)
-        for row in obj["terms"]:
-            p = Perm(tuple(int(x) for x in row["perm"]))
-            c = Scalar.from_json(row["coeff"])
-            if not c.is_zero():
-                out.terms[p] = c
-        return out
+        return HeckeElt(
+            int(obj["n"]),
+            {
+                Perm(tuple(int(x) for x in row["perm"])): Scalar.from_json(row["coeff"])
+                for row in obj["terms"]
+            },
+        )
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return f"HeckeElt(n={self.n}, 0)"
         rows = sorted(self.terms.items(), key=lambda kv: kv[0].images)
         body = " + ".join(f"({c!r})*w{p.images}" for p, c in rows)
         return f"HeckeElt(n={self.n}, {body})"
 
 
-# -- common-denominator plumbing -------------------------------------------------
+# -- the canonical form ---------------------------------------------------------------
 
 
-def _lcm_all(dens: list[IntLaurent]) -> IntLaurent:
-    out = _ONE_POLY
-    seen = set()
-    for d in dens:
-        k = d.key()
-        if k in seen or d.is_one():
-            continue
-        seen.add(k)
-        g = poly_gcd(out, d)
-        extra = d if g.is_one() else laurent_divexact(d, g)
-        out = out * extra
-    return canon_poly_part(out) if not out.is_one() else out
-
-
-def _poly_form(x: HeckeElt) -> tuple[PolyTerms, IntLaurent]:
-    """Rewrite x as (1/d) * (polynomial-coefficient terms)."""
-    dens = [c.den for c in x.terms.values()]
-    d = _lcm_all(dens)
-    out: PolyTerms = {}
-    if d.is_one():
-        for p, c in x.terms.items():
-            out[p.images] = c.num
-    else:
-        for p, c in x.terms.items():
-            out[p.images] = c.num * laurent_divexact(d, c.den)
-    return out, d
-
-
-def _from_poly_form(n: int, terms: PolyTerms, den: IntLaurent) -> HeckeElt:
-    out = HeckeElt(n)
-    for im, c in terms.items():
-        v = Scalar(c, den)
-        if not v.is_zero():
-            out.terms[Perm(im)] = v
+def _elt(n: int, nums: PolyTerms, den: IntLaurent) -> HeckeElt:
+    """Wrap numerators and a denominator already in canonical form."""
+    out = HeckeElt.__new__(HeckeElt)
+    out.n = n
+    out.nums = nums
+    out.den = den
+    out._terms = None
     return out
+
+
+def _normal(n: int, nums: PolyTerms, den: IntLaurent) -> HeckeElt:
+    """Canonical form of (1/den) * nums, for any nonzero den."""
+    if not nums:
+        return _elt(n, {}, _ONE_POLY)
+    g = den
+    for c in nums.values():
+        if g.is_one():
+            break
+        g = poly_gcd(g, c)
+    if not g.is_one():
+        den = laurent_divexact(den, g)
+        nums = {im: laurent_divexact(c, g) for im, c in nums.items()}
+    # the unit: strip den's monomial factor and make its lex-leading term positive
+    mv, ms = den.min_exponents()
+    sign = -1 if den.lex_leading()[1] < 0 else 1
+    if mv or ms or sign < 0:
+        den = den.shift(-mv, -ms).int_mul(sign)
+        nums = {im: c.shift(-mv, -ms).int_mul(sign) for im, c in nums.items()}
+    return _elt(n, nums, den)
 
 
 def _rmul_gen_poly(terms: PolyTerms, i: int, sign: int) -> PolyTerms:
@@ -297,27 +303,19 @@ def _lmul_gen_poly(terms: PolyTerms, i: int) -> PolyTerms:
     return out
 
 
-_MIRROR_CACHE: dict[Images, PolyTerms] = {}
-
-
+@cache
 def _mirror_basis(images: Images) -> PolyTerms:
     """Expansion of the crossing-switched braid of w_pi in the braid basis.
 
     Mirroring keeps the diagram's composition order, so the mirror of
     sigma_{w_1}...sigma_{w_k} is sigma_{w_1}^{-1}...sigma_{w_k}^{-1}.
     """
-    hit = _MIRROR_CACHE.get(images)
-    if hit is not None:
-        return hit
     word = word_of(images)
     if not word:
-        out = {images: _ONE_POLY}
-    else:
-        # w_pi = w_{pi s_i} sigma_i for the last letter i of pi's reduced word
-        i = word[-1]
-        out = _rmul_gen_poly(_mirror_basis(right_gen(images, i)), i, -1)
-    _MIRROR_CACHE[images] = out
-    return out
+        return {images: _ONE_POLY}
+    # w_pi = w_{pi s_i} sigma_i for the last letter i of pi's reduced word
+    i = word[-1]
+    return _rmul_gen_poly(_mirror_basis(right_gen(images, i)), i, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +332,8 @@ def murphy_M(j: int, n: int) -> HeckeElt:
     """The Murphy operator M(j) = sum of the transposition braids w_(i j)."""
     if not (2 <= j <= n):
         raise ValueError(f"need 2 <= j <= n, got j={j}, n={n}")
-    out = HeckeElt(n)
-    one = Scalar.from_int(1)
-    for i in range(1, j):
-        out.terms[transposition(i, j, n)] = one
-    return out
+    nums = {transposition(i, j, n).images: _ONE_POLY for i in range(1, j)}
+    return _elt(n, nums, _ONE_POLY)
 
 
 def murphy_T(j: int, n: int) -> HeckeElt:
@@ -378,19 +373,17 @@ def gamma_elt(n: int) -> HeckeElt:
 
 def a_sym(n: int) -> HeckeElt:
     """The row quasi-idempotent a_n = sum over S_n of s^{l(pi)} w_pi."""
-    out = HeckeElt(n)
-    for p in all_perms(n):
-        out.terms[p] = s_pow(length(p))
-    return out
+    nums = {p.images: IntLaurent.monomial(1, 0, length(p)) for p in all_perms(n)}
+    return _elt(n, nums, _ONE_POLY)
 
 
 def b_sym(n: int) -> HeckeElt:
     """The column quasi-idempotent b_n = sum over S_n of (-s)^{-l(pi)} w_pi."""
-    out = HeckeElt(n)
+    nums = {}
     for p in all_perms(n):
         l = length(p)
-        out.terms[p] = s_pow(-l).int_mul((-1) ** l)
-    return out
+        nums[p.images] = IntLaurent.monomial((-1) ** l, 0, -l)
+    return _elt(n, nums, _ONE_POLY)
 
 
 def phi_eval(x: HeckeElt, t: Scalar) -> Scalar:
@@ -403,10 +396,7 @@ def phi_eval(x: HeckeElt, t: Scalar) -> Scalar:
 
 def phi_s(x: HeckeElt) -> Scalar:
     """The writhe evaluation: w_pi -> s^{l(pi)}, extended linearly."""
-    out = Scalar.from_int(0)
-    for p, c in x.terms.items():
-        out = out + c * s_pow(length(p))
-    return out
+    return phi_eval(x, s_pow(1))
 
 
 def h_idem(n: int) -> HeckeElt:
@@ -438,18 +428,7 @@ def power_sum_T(m: int, n: int) -> HeckeElt:
 
 def rescale(x: HeckeElt, x_param: Scalar) -> HeckeElt:
     """Writhe rescaling: w_pi -> x^{l(pi)} w_pi termwise."""
-    out = HeckeElt(x.n)
-    powers: dict[int, Scalar] = {}
-    for p, c in x.terms.items():
-        l = length(p)
-        f = powers.get(l)
-        if f is None:
-            f = x_param ** l
-            powers[l] = f
-        v = c * f
-        if not v.is_zero():
-            out.terms[p] = v
-    return out
+    return HeckeElt(x.n, {p: c * x_param ** length(p) for p, c in x.terms.items()})
 
 
 def murphy_series(n: int, order: int) -> TruncSeries:

@@ -25,7 +25,7 @@ by the scalar through which T^(n) acts on the shape lambda.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterator
 
 from .coeff import ONE, Scalar, add_term, s_pow, z
@@ -168,25 +168,15 @@ def _mat_identity(dim: int) -> Matrix:
     return [{k: ONE} for k in range(dim)]
 
 
-_BASIS_MATRIX_CACHE: dict[tuple[Partition, tuple[int, ...]], Matrix] = {}
-
-
+@cache
 def _basis_matrix(lam: Partition, images: tuple[int, ...]) -> Matrix:
     """Matrix of the permutation braid w_pi, built along reduced words."""
-    key = (lam, images)
-    hit = _BASIS_MATRIX_CACHE.get(key)
-    if hit is not None:
-        return hit
     word = word_of(images)
     if not word:
-        out = _mat_identity(len(std_tableaux(lam)))
-    else:
-        # w_pi = w_{pi s_i} sigma_i for the last letter i of pi's reduced word
-        i = word[-1]
-        prefix = _basis_matrix(lam, right_gen(images, i))
-        out = _mat_mul(prefix, rho(lam, i).as_matrix())
-    _BASIS_MATRIX_CACHE[key] = out
-    return out
+        return _mat_identity(len(std_tableaux(lam)))
+    # w_pi = w_{pi s_i} sigma_i for the last letter i of pi's reduced word
+    i = word[-1]
+    return _mat_mul(_basis_matrix(lam, right_gen(images, i)), rho(lam, i).as_matrix())
 
 
 def rep_of(x: HeckeElt, parts) -> Matrix:

@@ -18,34 +18,26 @@ to 1, matching published HOMFLY tables in the (v, z) conventions.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .coeff import Scalar, delta, v_pow
 from .hecke import HeckeElt, h_idem, word_elt
 from .perm import Perm, coset_decompose
 from .symfun import SymFunc
 
-_BASIS_TRACE: dict[tuple[int, ...], Scalar] = {}
 
-
+@cache
 def _basis_trace(images: tuple[int, ...]) -> Scalar:
-    hit = _BASIS_TRACE.get(images)
-    if hit is not None:
-        return hit
     if not images:
-        out = Scalar.from_int(1)
-    else:
-        n = len(images)
-        u, k = coset_decompose(Perm(images))
-        if k is None:
-            out = delta() * _basis_trace(u.images)
-        else:
-            # w_pi = w_u sigma_{n-1} (sigma_{n-2}...sigma_k); closing the top
-            # strand through the single sigma_{n-1} gives the curl factor.
-            tail = HeckeElt.basis(u).rmul_word(range(n - 2, k - 1, -1))
-            out = v_pow(-1) * markov_ev(tail)
-    _BASIS_TRACE[images] = out
-    return out
+        return Scalar.from_int(1)
+    n = len(images)
+    u, k = coset_decompose(Perm(images))
+    if k is None:
+        return delta() * _basis_trace(u.images)
+    # w_pi = w_u sigma_{n-1} (sigma_{n-2}...sigma_k); closing the top
+    # strand through the single sigma_{n-1} gives the curl factor.
+    tail = HeckeElt.basis(u).rmul_word(range(n - 2, k - 1, -1))
+    return v_pow(-1) * markov_ev(tail)
 
 
 def markov_ev(x: HeckeElt) -> Scalar:
@@ -56,7 +48,7 @@ def markov_ev(x: HeckeElt) -> Scalar:
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def _h_trace(k: int) -> Scalar:
     return markov_ev(h_idem(k))
 

@@ -1,6 +1,7 @@
 import json
 import time
 
+from heckeskein import cli
 from heckeskein.cli import main
 
 
@@ -163,6 +164,24 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(target.read_text()) == json.loads(out)
+
+
+def test_unwritable_out_rejected_before_computing(tmp_path, capsys, monkeypatch):
+    def computed(*args):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(cli, "cmd_verify", computed)
+    missing = tmp_path / "no-such-dir" / "x.json"
+    for target in (missing, tmp_path):
+        code, out, err = run(capsys, "verify", "all", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write '{target}': ")
+    code, _, err = run(capsys, "homfly", "--strands", "2", "--word", "1", "--out", str(missing))
+    assert (code, err) == (2, f"error: cannot write '{missing}': No such file or directory\n")
+    # a usage error after the probe leaves no file behind
+    fresh = tmp_path / "fresh.json"
+    assert run(capsys, "homfly", "--strands", "2", "--word", "0", "--out", str(fresh))[0] == 2
+    assert not fresh.exists()
 
 
 def test_pretty_verify(capsys):

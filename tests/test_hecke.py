@@ -58,6 +58,41 @@ def test_rmul_word_matches_product():
             assert x.rmul_word(w) == x * word_elt(n, w)
 
 
+def test_operations_return_canonical_form():
+    # Coefficients carry the library's denominators (delta, 1/[2], 1/[3],
+    # 1/z, 1/2), and their factors as numerators, so sums, products and
+    # scalings both cancel and shift units; each result must be the form
+    # that the constructor builds from the reduced coefficients.
+    rng = random.Random(6006)
+    factors = [
+        delta(), quantum_int(2).inv(), quantum_int(3).inv(), z().inv(),
+        Scalar.from_fraction(1, 2), z(), quantum_int(2), Scalar.from_int(2), ONE,
+    ]
+
+    def coeff():
+        c = Scalar.monomial(rng.choice([-2, -1, 1, 3]), rng.randint(-1, 1), rng.randint(-2, 2))
+        for _ in range(rng.randint(1, 3)):
+            c = c * rng.choice(factors)
+        return c
+
+    def elt(n):
+        perms = list(all_perms(n))
+        return HeckeElt(n, {rng.choice(perms): coeff() for _ in range(rng.randint(1, 3))})
+
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        x, y, c = elt(n), elt(n), coeff()
+        letters = [i for i in range(1 - n, n) if i != 0]
+        word = [rng.choice(letters) for _ in range(rng.randint(1, 4))] if letters else []
+        results = [
+            x + y, x - y, x - x, x * y, x.scale(c), x.scale(c.inv()),
+            x.rmul_word(word), x.mirror(), x.include(n + 1), -x, x * h_idem(n),
+        ]
+        for r in results:
+            ref = HeckeElt(r.n, r.terms)
+            assert (r.nums, r.den) == (ref.nums, ref.den)
+
+
 def test_word_elt_examples():
     assert word_elt(3, []) == HeckeElt.identity(3)
     assert word_elt(2, [1, -1]) == HeckeElt.identity(2)
