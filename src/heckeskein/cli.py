@@ -2,7 +2,9 @@
 
 Structured JSON goes to stdout (stable term ordering, so output is
 deterministic for fixed inputs); diagnostics go to stderr.  Exit codes:
-0 success / all checks pass, 1 verification failure, 2 usage or parse error.
+0 success / all checks pass, 1 verification failure, 2 usage or parse error,
+3 internal error (an arithmetic, recursion or assertion failure inside the
+library).
 """
 
 from __future__ import annotations
@@ -502,6 +504,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, RecursionError, AssertionError) as exc:
+        # a broken invariant inside the library, not a failed verification
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     raise AssertionError("unreachable command")
 
 

@@ -9,7 +9,9 @@ with nums keyed by the one-line images of pi.  The form is canonical, so
 equality is structural: den is a genuine polynomial with no monomial factor
 and a positive lex-leading coefficient, and no non-unit factor of den
 divides every numerator.  `terms` shows the same element as a read-only
-{Perm: Scalar} map of reduced coefficients, built on first use.
+{Perm: Scalar} map of reduced coefficients, built on first use, and
+`pair` applies a linear functional given by polynomial values on the basis
+straight to the numerators.
 
 Right multiplication by a generator is the only structural operation:
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from functools import cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .coeff import (
     IntLaurent,
@@ -191,6 +193,21 @@ class HeckeElt:
                 )
             nums = _rmul_gen_poly(nums, abs(i), 1 if i > 0 else -1)
         return _elt(self.n, nums, self.den)
+
+    def pair(self, value: Callable[[Images], IntLaurent]) -> Scalar:
+        """The linear functional w_pi -> value(pi) at self, for polynomial values.
+
+        One integer accumulation of nums[pi] * value(pi) over the terms, then
+        one reduction over den.
+        """
+        acc: dict[tuple[int, int], int] = {}
+        for im, c in self.nums.items():
+            f = value(im).terms
+            for (a1, b1), k1 in c.terms.items():
+                for (a2, b2), k2 in f.items():
+                    e = (a1 + a2, b1 + b2)
+                    acc[e] = acc.get(e, 0) + k1 * k2
+        return Scalar(IntLaurent(acc), self.den)
 
     # -- the skein structure --------------------------------------------------------------
 

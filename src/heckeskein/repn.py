@@ -16,8 +16,11 @@ The construction is pinned by two computational facts checked in the test
 suite: the defining braid/quadratic relations hold, and every Murphy braid
 T(j) acts diagonally with eigenvalues s^(2 * content of the cell of j).
 
-Closure into the annulus ring is the character-weighted sum of Schur
-functions; its compatibility with the Markov trace is an independent check.
+A character is the linear functional sending w_pi to the trace of its
+matrix.  Those traces are Laurent polynomials in s, cached per basis braid,
+and the character of x is their pairing with x (HeckeElt.pair).  Closure
+into the annulus ring is the character-weighted sum of Schur functions; its
+compatibility with the Markov trace is an independent check.
 The encircling map on the annulus ring scales each Schur function s_lambda
 by the scalar through which T^(n) acts on the shape lambda.
 """
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Iterator
 
-from .coeff import ONE, Scalar, add_term, s_pow, z
+from .coeff import ONE, ZERO, IntLaurent, Scalar, add_term, s_pow, z
 from .hecke import HeckeElt, t_circle
 from .perm import MAX_PERM_N, right_gen, word_of
 from .symfun import Partition, SymFunc, check_partition, schur, to_schur
@@ -195,15 +198,25 @@ def rep_of(x: HeckeElt, parts) -> Matrix:
     return out
 
 
+@cache
+def _basis_character(lam: Partition, images: tuple[int, ...]) -> IntLaurent:
+    """Trace of the permutation braid w_pi on shape lambda, a polynomial."""
+    out = ZERO
+    for r, row in enumerate(_basis_matrix(lam, images)):
+        out = out + row.get(r, ZERO)
+    if not out.den.is_one():
+        raise ArithmeticError(
+            f"character of w{images} on {lam} is not a polynomial: {out!r}"
+        )
+    return out.num
+
+
 def character(x: HeckeElt, parts) -> Scalar:
     """Trace of x in the irreducible module of shape lambda."""
-    m = rep_of(x, parts)
-    out = Scalar.from_int(0)
-    for r, row in enumerate(m):
-        c = row.get(r)
-        if c is not None:
-            out = out + c
-    return out
+    lam = check_partition(parts)
+    if sum(lam) != x.n:
+        raise ValueError(f"|lambda| = {sum(lam)} but x lives in H_{x.n}")
+    return x.pair(lambda images: _basis_character(lam, images))
 
 
 def closure(x: HeckeElt) -> SymFunc:

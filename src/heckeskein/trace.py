@@ -8,6 +8,9 @@ form w_pi = w_u . sigma_{n-1} sigma_{n-2} ... sigma_k:
 * otherwise the single sigma_{n-1} crossing closes into a curl: factor
   v^{-1}, and the leftover sigma_{n-2}...sigma_k gets absorbed into H_{n-1}.
 
+Scaled by z^n these values are Laurent polynomials, cached per basis braid;
+the trace of x is their pairing with x (HeckeElt.pair), divided by z^n.
+
 The multiplicative evaluation on the annulus ring sends h_k to the trace of
 the k-strand row idempotent; together with the character closure this gives
 the consistency check markov_ev = ev_sym(closure(.)).
@@ -20,32 +23,44 @@ from __future__ import annotations
 
 from functools import cache
 
-from .coeff import Scalar, delta, v_pow
+from .coeff import IntLaurent, Scalar, delta, v_pow, z
 from .hecke import HeckeElt, h_idem, word_elt
 from .perm import Perm, coset_decompose
 from .symfun import SymFunc
 
 
+# z^n tr(w_pi) is a polynomial: a free loop gives delta = (v^-1 - v)/z and
+# a curl v^-1, so z^n tr = (v^-1 - v) z^{n-1} tr, resp. z v^-1 z^{n-1} tr.
+_LOOP = IntLaurent({(-1, 0): 1, (1, 0): -1})
+_CURL = IntLaurent({(-1, 1): 1, (-1, -1): -1})
+
+
 @cache
-def _basis_trace(images: tuple[int, ...]) -> Scalar:
+def _trace_num(images: tuple[int, ...]) -> IntLaurent:
+    """z^n times the Markov trace of w_pi in H_n, a Laurent polynomial."""
     if not images:
-        return Scalar.from_int(1)
+        return IntLaurent.from_int(1)
     n = len(images)
     u, k = coset_decompose(Perm(images))
     if k is None:
-        return delta() * _basis_trace(u.images)
+        return _LOOP * _trace_num(u.images)
     # w_pi = w_u sigma_{n-1} (sigma_{n-2}...sigma_k); closing the top
     # strand through the single sigma_{n-1} gives the curl factor.
     tail = HeckeElt.basis(u).rmul_word(range(n - 2, k - 1, -1))
-    return v_pow(-1) * markov_ev(tail)
+    value = tail.pair(_trace_num)
+    if not value.den.is_one():
+        raise ArithmeticError(f"z^n trace of w{images} is not a polynomial: {value!r}")
+    return _CURL * value.num
+
+
+@cache
+def _z_pow_inv(n: int) -> Scalar:
+    return z() ** -n
 
 
 def markov_ev(x: HeckeElt) -> Scalar:
     """The framed Markov trace: delta per free loop, v^{-1} per curl."""
-    out = Scalar.from_int(0)
-    for p, c in x.terms.items():
-        out = out + c * _basis_trace(p.images)
-    return out
+    return x.pair(_trace_num) * _z_pow_inv(x.n)
 
 
 @cache

@@ -1,14 +1,22 @@
-"""Independent numeric oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
 Symmetric functions are evaluated at concrete rational points straight from
 their textbook definitions (multiset sums, subset sums, power sums, and the
 bialternant ratio for Schur functions), entirely in Fraction arithmetic.
 These never touch the package's h-monomial machinery, so agreement is a
 genuine cross-check rather than a tautology.
+
+The Markov trace oracle is the slow route to the trace: one Scalar per
+basis braid and one Scalar sum per term, never HeckeElt.pair.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
+
+from heckeskein.coeff import Scalar, delta, v_pow
+from heckeskein.hecke import HeckeElt
+from heckeskein.perm import Perm, coset_decompose
 
 
 def h_value(k: int, xs: list[Fraction]) -> Fraction:
@@ -87,3 +95,29 @@ def symfunc_value(f, xs: list[Fraction], v0, s0) -> Fraction:
             val *= h_value(k, xs)
         total += val
     return total
+
+
+def markov_trace(x: HeckeElt) -> Scalar:
+    """The framed Markov trace, summed term by term in Scalars."""
+    out = Scalar.from_int(0)
+    for p, c in x.terms.items():
+        out = out + c * basis_trace(p.images)
+    return out
+
+
+@cache
+def basis_trace(images: tuple[int, ...]) -> Scalar:
+    """Trace of w_pi by the descending coset normal form.
+
+    A top strand that pi fixes closes into a free loop (factor delta); else
+    w_pi = w_u sigma_{n-1} (sigma_{n-2}...sigma_k), and closing the top
+    strand through the single sigma_{n-1} gives a curl (factor v^-1).
+    """
+    if not images:
+        return Scalar.from_int(1)
+    n = len(images)
+    u, k = coset_decompose(Perm(images))
+    if k is None:
+        return delta() * basis_trace(u.images)
+    tail = HeckeElt.basis(u).rmul_word(range(n - 2, k - 1, -1))
+    return v_pow(-1) * markov_trace(tail)

@@ -70,6 +70,17 @@ def test_characters_table(capsys):
     assert row["values"]["2,1"] == {"num": [[0, 1, "1"]], "den": [[0, 0, "1"]]}
 
 
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(n, degree):
+        raise ArithmeticError("inexact division")
+
+    monkeypatch.setitem(cli.CHECKS, "mirror-h", broken)
+    code, out, err = run(capsys, "verify", "mirror-h", "--n", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: inexact division\n"
+
+
 def test_verify_single_pass(capsys):
     code, out, _ = run(capsys, "verify", "eh-inverse", "--degree", "6")
     assert code == 0

@@ -22,6 +22,10 @@ GOLDEN = [
      "451a31d7107f45c8b415e167ec136bdd7ac0a00acc93bb83b0cce2516584fa80"),
     (["closure", "--strands", "4", "--word", "1 -2 3 1"],
      "6707fe5d2e17926cf630868fe3359c774223ebbc38de17d2d2a1a2ae1341b5fd"),
+    (["closure", "--strands", "5", "--word", "1 -2 3 -4 2 1 -3 4 -1 2 3"],
+     "e7d063fe322ba4da1e2adfd888ba0c53f644845b715fdcaaff54bafc3a9fe8ed"),
+    (["homfly", "--strands", "6", "--word", "1 -2 3 -4 5 2 -1 3 4 -5 -2 1 3"],
+     "3e914de9ce9950bc6c1726e24ab2e6736832e03c550751b4398c7b2f8bca9614"),
     (["eval", "--elem", "h2*e1*p1*s(2,1)"],
      "4f6f7eb664797a5ce437cf48dbd08aa38c8d1914e5365076a9518d24e1253d59"),
     (["verify", "all", "--n", "3", "--degree", "3"],

@@ -57,6 +57,17 @@ def test_ev_sym_values():
     assert ev_sym(SymFunc.one()) == ONE
 
 
+def test_h_trace_closed_form():
+    # Aiston-Morton: the plane evaluation of the k-strand row idempotent is
+    # prod over i <= k of (v^-1 s^(i-1) - v s^(1-i)) / (s^i - s^-i).
+    expected = ONE
+    for k in range(1, 7):
+        expected = expected * (v_pow(-1) * s_pow(k - 1) - v_pow(1) * s_pow(1 - k)) / (
+            s_pow(k) - s_pow(-k)
+        )
+        assert markov_ev(h_idem(k)) == expected
+
+
 def test_ev_sym_multiplicative():
     elems = [complete(1), complete(2), complete(1) * complete(1)]
     for f in elems:
