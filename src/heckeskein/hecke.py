@@ -26,6 +26,11 @@ sigma_i^{±1} acts on the numerators by a matrix invertible over
 Z[s^{±1}], so braid words keep the form canonical.  Sums, products,
 scalings and the mirror map renormalise once, in _normal: a gcd of den
 folded over the numerators, then the unit.
+
+Polynomials in the commuting Murphy braids T(j) (power sums, the Murphy
+series) are built without dense products: the braid word of T(j) acts on
+the numerators letter by letter, with no gcd, and each result is
+normalised once.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .coeff import (
+    ONE,
+    ZERO,
     IntLaurent,
     Scalar,
     add_term,
@@ -55,7 +62,7 @@ from .perm import (
     transposition,
     word_of,
 )
-from .series import TruncSeries, geometric
+from .series import TruncSeries
 
 _Z = IntLaurent({(0, 1): 1, (0, -1): -1})
 _ONE_POLY = IntLaurent.from_int(1)
@@ -77,7 +84,7 @@ class HeckeElt:
             if p.n != n:
                 raise ValueError(f"permutation size {p.n} != strand count {n}")
             if not c.den.is_one():
-                den = den * laurent_divexact(c.den, poly_gcd(den, c.den))
+                den = _lcm(den, c.den)
         self.n = n
         self.nums: PolyTerms = {
             p.images: c.num * laurent_divexact(den, c.den)
@@ -273,6 +280,10 @@ def _elt(n: int, nums: PolyTerms, den: IntLaurent) -> HeckeElt:
     return out
 
 
+def _lcm(a: IntLaurent, b: IntLaurent) -> IntLaurent:
+    return a * laurent_divexact(b, poly_gcd(a, b))
+
+
 def _normal(n: int, nums: PolyTerms, den: IntLaurent) -> HeckeElt:
     """Canonical form of (1/den) * nums, for any nonzero den."""
     if not nums:
@@ -320,6 +331,34 @@ def _lmul_gen_poly(terms: PolyTerms, i: int) -> PolyTerms:
     return out
 
 
+def _murphy_word(j: int) -> list[int]:
+    """The braid word of T(j): sigma_{j-1} ... sigma_1 sigma_1 ... sigma_{j-1}."""
+    return list(range(j - 1, 0, -1)) + list(range(1, j))
+
+
+def _rmul_murphy(terms: PolyTerms, j: int, m: int) -> PolyTerms:
+    """Right multiply polynomial-coefficient terms by T(j)^m, one letter at a time.
+
+    The letters are positive, so the numerators stay over the same
+    denominator and no gcd is taken.
+    """
+    word = _murphy_word(j)
+    for _ in range(m):
+        for i in word:
+            terms = _rmul_gen_poly(terms, i, +1)
+    return terms
+
+
+def _axpy(y: PolyTerms, k: IntLaurent, x: PolyTerms) -> PolyTerms:
+    """y + k x for numerators over one denominator; y itself when k is 0."""
+    if k.is_zero():
+        return y
+    out = dict(y)
+    for im, val in x.items():
+        add_term(out, im, val * k)
+    return out
+
+
 @cache
 def _mirror_basis(images: Images) -> PolyTerms:
     """Expansion of the crossing-switched braid of w_pi in the braid basis.
@@ -357,8 +396,7 @@ def murphy_T(j: int, n: int) -> HeckeElt:
     """Ram's braid T(j): strand j encircles strands 1..j-1; T(1) = 1."""
     if not (1 <= j <= n):
         raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
-    word = list(range(j - 1, 0, -1)) + list(range(1, j))
-    return word_elt(n, word)
+    return word_elt(n, _murphy_word(j))
 
 
 def t_circle(n: int) -> HeckeElt:
@@ -431,16 +469,20 @@ def e_idem(n: int) -> HeckeElt:
 
 def power_sum_T(m: int, n: int) -> HeckeElt:
     """The m-th power sum of the Murphy braids, T(1)^m + ... + T(n)^m."""
+    return add_power_sum_T(HeckeElt.identity(n), m, ZERO, ONE)
+
+
+def add_power_sum_T(x: HeckeElt, m: int, a: Scalar, c: Scalar) -> HeckeElt:
+    """a x + c x (T(1)^m + ... + T(n)^m), normalised once."""
     if m < 1:
         raise ValueError("power must be >= 1")
-    out = HeckeElt(n)
-    for j in range(1, n + 1):
-        t = murphy_T(j, n)
-        p = t
-        for _ in range(m - 1):
-            p = p * t
-        out = out + p
-    return out
+    acc: PolyTerms = {}
+    for j in range(1, x.n + 1):
+        for im, val in _rmul_murphy(x.nums, j, m).items():
+            add_term(acc, im, val)
+    # over den(x) a.den c.den
+    nums = _axpy(_axpy({}, c.num * a.den, acc), a.num * c.den, x.nums)
+    return _normal(x.n, nums, x.den * a.den * c.den)
 
 
 def rescale(x: HeckeElt, x_param: Scalar) -> HeckeElt:
@@ -450,25 +492,47 @@ def rescale(x: HeckeElt, x_param: Scalar) -> HeckeElt:
 
 def murphy_series(n: int, order: int) -> TruncSeries:
     """HM(t) = prod_j (1 - T(j) t)^{-1}, coefficients central in H_n."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    out = TruncSeries.one(HeckeElt.identity(n), order)
-    for j in range(1, n + 1):
-        out = out * geometric(murphy_T(j, n), order)
-    for c in out.coeffs[1:]:
-        if not c.is_central():
-            raise AssertionError("Murphy series coefficient is not central")
-    return out
+    return murphy_series_times(n, TruncSeries([ONE], order), ZERO, ONE)
 
 
 def elem_murphy_series(n: int, order: int) -> TruncSeries:
     """EM(t) = prod_j (1 + T(j) t), coefficients central in H_n."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    out = TruncSeries.one(HeckeElt.identity(n), order)
+    return murphy_series_times(n, TruncSeries([ONE], order), -ONE, ZERO)
+
+
+def murphy_series_times(
+    n: int, f: TruncSeries, a: Scalar, b: Scalar
+) -> TruncSeries:
+    """f(t) prod_j (1 - a T(j) t) / (1 - b T(j) t) over H_n, for a Scalar series f.
+
+    Coefficient k is kept as numerators over D L^k, with D the lcm of the
+    denominators of f and L = a.den b.den, so no gcd is taken until each
+    coefficient is normalised once at the end.  For each j, in order of k:
+    d_k = c_k + b d_{k-1} T(j), then c_k <- d_k - a d_{k-1} T(j).  Every
+    coefficient of nonzero degree is a symmetric polynomial in the commuting
+    T(j), and is checked to be central.
+    """
+    den = _ONE_POLY
+    for c in f.coeffs:
+        den = _lcm(den, c.den)
+    one = identity(n).images
+    ell = a.den * b.den
+    dens, coeffs = [], []
+    for c in f.coeffs:
+        dens.append(den)
+        coeffs.append({one: c.num * laurent_divexact(den, c.den)} if c else {})
+        den = den * ell
+    # over D L^k, b d_{k-1} T(j) has the numerator b.num a.den T(j) N_{k-1}
+    kb, ka = b.num * a.den, -(a.num * b.den)
     for j in range(1, n + 1):
-        out = out * TruncSeries([HeckeElt.identity(n), murphy_T(j, n)], order)
-    for c in out.coeffs[1:]:
+        prev = coeffs[0]
+        for k in range(1, len(coeffs)):
+            shifted = _rmul_murphy(prev, j, 1)
+            d = _axpy(coeffs[k], kb, shifted)
+            coeffs[k] = _axpy(d, ka, shifted)
+            prev = d
+    out = [_normal(n, c, d) for c, d in zip(coeffs, dens)]
+    for c in out[1:]:
         if not c.is_central():
             raise AssertionError("Murphy series coefficient is not central")
-    return out
+    return TruncSeries(out)

@@ -8,6 +8,17 @@ with psi_0 the plane evaluation; it extends multiplicatively over power-sum
 monomials and linearly.  Everything else about the map (centrality of the
 image, psi_n(h_1) = T^(n), the Murphy-series expansion of psi_n(H(t))) is a
 theorem and is verified, not assumed.
+
+Everything here is a polynomial in the commuting Murphy braids T(j), each a
+braid word of length 2(j-1), so no dense Hecke product is formed.  The image
+of a power-sum monomial is built from its longest prefix and memoised,
+
+    psi_n(p_{lambda + (m,)}) = a_m x + c_m (x T(1)^m + ... + x T(n)^m),
+
+with x = psi_n(p_lambda), a_m = psi_0(P_m) and c_m = (s^m - s^{-m}) v^{-m}:
+the words act on the numerators over x's denominator, and each step
+normalises once.  The right side of the Murphy-series identity multiplies
+the scalar series psi_0(H(t)) by one factor per j in the same way.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ import re
 from functools import lru_cache
 
 from .coeff import Scalar, s_pow, v_pow
-from .hecke import HeckeElt, murphy_series, power_sum_T
+from .hecke import HeckeElt, add_power_sum_T, murphy_series_times
 from .repn import central_scalar, content_of, std_tableaux
 from .series import TruncSeries
 from .symfun import (
@@ -32,41 +43,43 @@ from .trace import ev_sym
 
 
 @lru_cache(maxsize=256)
-def _psi_power(n: int, m: int) -> HeckeElt:
-    """psi_n(P_m) in H_n."""
-    base = HeckeElt.scalar(n, ev_sym(power_sum(m)))
-    if n == 0:
-        return base
-    factor = (s_pow(m) - s_pow(-m)) * v_pow(-m)
-    return base + power_sum_T(m, n).scale(factor)
+def _psi_p(n: int, parts: tuple[int, ...]) -> HeckeElt:
+    """psi_n(p_parts), one Murphy power-sum step from its longest prefix.
+
+    psi_n(p_{lambda + (m,)}) = a_m x + c_m sum_j x T(j)^m with x = psi_n(p_lambda),
+    a_m = psi_0(P_m) and c_m = (s^m - s^{-m}) v^{-m}.
+    """
+    if not parts:
+        return HeckeElt.identity(n)
+    m = parts[-1]
+    c_m = (s_pow(m) - s_pow(-m)) * v_pow(-m)
+    return add_power_sum_T(_psi_p(n, parts[:-1]), m, ev_sym(power_sum(m)), c_m)
 
 
 def psi(n: int, f: SymFunc) -> HeckeElt:
     """Image of f in the centre of H_n."""
     out = HeckeElt(n)
     for parts, c in to_p(f).items():
-        term = HeckeElt.scalar(n, c)
-        for m in parts:
-            term = term * _psi_power(n, m)
-        out = out + term
+        out = out + _psi_p(n, parts).scale(c)
     return out
 
 
 def verify_murphy_series(n: int, order: int) -> tuple[bool, dict]:
-    """Check psi_n(H(t)) = psi_0(H(t)) * HM(sv^{-1}t) / HM(s^{-1}v^{-1}t).
+    """Check the Murphy-series expansion of psi_n(H(t)) up to t^order:
 
-    Both sides are expanded as truncated series over H_n; the report item
-    for each degree records exact equality of the coefficients.
+        psi_n(H(t)) = psi_0(H(t)) prod_j (1 - s^-1 v^-1 T(j) t) / (1 - s v^-1 T(j) t).
+
+    The left side is psi of each complete symmetric function; the right side
+    multiplies the scalar series psi_0(H(t)) by the Murphy-braid factors.
+    The report item for each degree records exact equality of the
+    coefficients.
     """
-    lhs = TruncSeries([psi(n, complete(k)) for k in range(order + 1)])
-    psi0 = TruncSeries(
-        [HeckeElt.scalar(n, ev_sym(complete(k))) for k in range(order + 1)]
-    )
-    hm = murphy_series(n, order)
-    sv = s_pow(1) * v_pow(-1)
-    s1v = s_pow(-1) * v_pow(-1)
-    rhs = psi0 * hm.scale_t(sv) * hm.scale_t(s1v).inverse()
-    per_degree = [lhs.coeffs[k] == rhs.coeffs[k] for k in range(order + 1)]
+    lhs = [psi(n, complete(k)) for k in range(order + 1)]
+    psi0 = TruncSeries([ev_sym(complete(k)) for k in range(order + 1)])
+    rhs = murphy_series_times(
+        n, psi0, s_pow(-1) * v_pow(-1), s_pow(1) * v_pow(-1)
+    ).coeffs
+    per_degree = [lhs[k] == rhs[k] for k in range(order + 1)]
     report = {
         "n": n,
         "order": order,

@@ -8,15 +8,23 @@ genuine cross-check rather than a tautology.
 
 The Markov trace oracle is the slow route to the trace: one Scalar per
 basis braid and one Scalar sum per term, never HeckeElt.pair.
+
+The dense psi and Murphy-series oracles are the slow route through dense
+HeckeElt products and Hecke-valued series (geometric, scale_t, inverse),
+with T(j) built from its own braid word, never through the library's
+Murphy-braid word routine.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 
-from heckeskein.coeff import Scalar, delta, v_pow
-from heckeskein.hecke import HeckeElt
+from heckeskein.coeff import Scalar, delta, s_pow, v_pow
+from heckeskein.hecke import HeckeElt, word_elt
 from heckeskein.perm import Perm, coset_decompose
+from heckeskein.series import TruncSeries, geometric
+from heckeskein.symfun import power_sum, to_p
+from heckeskein.trace import ev_sym
 
 
 def h_value(k: int, xs: list[Fraction]) -> Fraction:
@@ -121,3 +129,64 @@ def basis_trace(images: tuple[int, ...]) -> Scalar:
         return delta() * basis_trace(u.images)
     tail = HeckeElt.basis(u).rmul_word(range(n - 2, k - 1, -1))
     return v_pow(-1) * markov_trace(tail)
+
+
+def murphy_T_dense(j: int, n: int) -> HeckeElt:
+    """T(j) = sigma_{j-1} ... sigma_1 sigma_1 ... sigma_{j-1} in H_n."""
+    return word_elt(n, [*range(j - 1, 0, -1), *range(1, j)])
+
+
+def power_sum_T_dense(m: int, n: int) -> HeckeElt:
+    """T(1)^m + ... + T(n)^m by repeated dense products."""
+    out = HeckeElt(n)
+    for j in range(1, n + 1):
+        t = murphy_T_dense(j, n)
+        p = t
+        for _ in range(m - 1):
+            p = p * t
+        out = out + p
+    return out
+
+
+@cache
+def psi_power_dense(n: int, m: int) -> HeckeElt:
+    """psi_n(P_m) = psi_0(P_m) + (s^m - s^-m) v^-m sum_j T(j)^m."""
+    base = HeckeElt.scalar(n, ev_sym(power_sum(m)))
+    if n == 0:
+        return base
+    factor = (s_pow(m) - s_pow(-m)) * v_pow(-m)
+    return base + power_sum_T_dense(m, n).scale(factor)
+
+
+def psi_dense(n: int, f) -> HeckeElt:
+    """psi_n(f) as a sum of dense products of the psi_n(P_m)."""
+    out = HeckeElt(n)
+    for parts, c in to_p(f).items():
+        term = HeckeElt.scalar(n, c)
+        for m in parts:
+            term = term * psi_power_dense(n, m)
+        out = out + term
+    return out
+
+
+def murphy_series_dense(n: int, order: int) -> TruncSeries:
+    """HM(t) = prod_j 1/(1 - T(j) t) as a product of geometric series."""
+    out = TruncSeries.one(HeckeElt.identity(n), order)
+    for j in range(1, n + 1):
+        out = out * geometric(murphy_T_dense(j, n), order)
+    return out
+
+
+def elem_murphy_series_dense(n: int, order: int) -> TruncSeries:
+    """EM(t) = prod_j (1 + T(j) t) as a product of two-term series."""
+    out = TruncSeries.one(HeckeElt.identity(n), order)
+    for j in range(1, n + 1):
+        out = out * TruncSeries([HeckeElt.identity(n), murphy_T_dense(j, n)], order)
+    return out
+
+
+def murphy_series_times_dense(n: int, f: TruncSeries, a, b) -> TruncSeries:
+    """f(t) HM(b t) / HM(a t) over H_n, by series products and inverse."""
+    lifted = TruncSeries([HeckeElt.scalar(n, c) for c in f.coeffs])
+    hm = murphy_series_dense(n, f.order)
+    return lifted * hm.scale_t(b) * hm.scale_t(a).inverse()

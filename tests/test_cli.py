@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 from heckeskein import cli
@@ -199,3 +200,83 @@ def test_pretty_verify(capsys):
     code, out, _ = run(capsys, "verify", "murphy-linear", "--n", "3", "--pretty")
     assert code == 0
     assert "murphy-linear: PASS" in out
+
+
+# Seeded fuzz of the two CLI parsers.  Every case either succeeds or is
+# rejected with exit 2 and an "error:" line; none may exit 3 or raise, and
+# each finishes within FUZZ_CASE_CAP_S.  Valid elements stay at degree <= 5:
+# the bound is 8, but eval --elem h8 alone took 16 s on a 2-core x86-64 host.
+FUZZ_CASE_CAP_S = 1.0
+
+_VALID_FACTORS = [
+    ("h0", 0), ("h1", 1), ("h2", 2), ("h3", 3), ("h5", 5), ("e0", 0), ("e1", 1),
+    ("e2", 2), ("e4", 4), ("p1", 1), ("p2", 2), ("p3", 3), ("p5", 5),
+    ("s(1)", 1), ("s(2,1)", 3), ("s(1,1,1)", 3), ("s(3,2)", 5), ("s(2,2)", 4),
+    ("0", 0), ("1", 0), ("-3", 0), ("12345678901234567890", 0),
+]
+_OVER_BOUND = [
+    "h9", "e12", "p99999999", "s(9)", "s(" + ",".join(["1"] * 13) + ")",
+    "9" * 5000, "h" + "1" * 5000,
+]
+_MALFORMED = [
+    "", "h", "x1", "s()", "s(2,)", "s(1,2)", "s(0)", "p0", "h-1", "s(2, 1)",
+    "1.5", "H2", "+1", "h1/h2", "(h1)", "s[2,1]", "e2e1", "ｈ1", "h1h", "é",
+]
+
+
+def _fuzz_element(rng):
+    """(element text, expected exit code)."""
+    factors, degree = [], 0
+    for _ in range(rng.randint(1, 3)):
+        text, deg = rng.choice(_VALID_FACTORS)
+        if degree + deg <= 5:
+            factors.append(text)
+            degree += deg
+    expect = 0
+    roll = rng.random()
+    if roll < 0.3:
+        factors.insert(rng.randrange(len(factors) + 1), rng.choice(_OVER_BOUND))
+        expect = 2
+    elif roll < 0.6:
+        factors.insert(rng.randrange(len(factors) + 1), rng.choice(_MALFORMED))
+        expect = 2
+    sep = rng.choice(["*", " * "])
+    return sep.join(factors), expect
+
+
+def _fuzz_word(rng, strands):
+    """(braid word text, expected exit code) on the given number of strands."""
+    top = strands - 1
+    length = rng.randint(0, 12) if top else 0
+    tokens = [str(rng.choice([-1, 1]) * rng.randint(1, top)) for _ in range(length)]
+    expect = 0
+    if rng.random() < 0.5:
+        bad = rng.choice(["0", "x", "1.5", "9" * 5000, str(strands), str(-strands), "1,2", "--"])
+        tokens.insert(rng.randrange(len(tokens) + 1), bad)
+        expect = 2
+    return " ".join(tokens), expect
+
+
+def test_fuzz_parsers(capsys):
+    rng = random.Random(8088)
+    cases = []
+    for _ in range(50):
+        elem, expect = _fuzz_element(rng)
+        cases.append((["eval", "--elem", elem], expect))
+        elem, expect = _fuzz_element(rng)
+        cases.append((["psi", "--n", "3", "--elem", elem], expect))
+    for _ in range(50):
+        for cmd in ("homfly", "closure"):
+            strands = rng.randint(1, 4)
+            word, expect = _fuzz_word(rng, strands)
+            cases.append(([cmd, "--strands", str(strands), "--word", word], expect))
+    for argv, expect in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        label = [a[:40] for a in argv]
+        assert elapsed < FUZZ_CASE_CAP_S, (label, elapsed)
+        assert code == expect, (label, code, err[:200])
+        if code == 2:
+            assert out == ""
+            assert "error: " in err, (label, err[:200])

@@ -3,7 +3,15 @@ import random
 import pytest
 
 from heckeskein.coeff import Scalar, s_pow, v_pow
-from heckeskein.hecke import HeckeElt, murphy_T, t_circle
+from heckeskein.hecke import (
+    HeckeElt,
+    elem_murphy_series,
+    murphy_T,
+    murphy_series,
+    murphy_series_times,
+    power_sum_T,
+    t_circle,
+)
 from heckeskein.psi import (
     parse_element,
     psi,
@@ -11,8 +19,16 @@ from heckeskein.psi import (
     verify_murphy_series,
 )
 from heckeskein.repn import partitions_of
+from heckeskein.series import TruncSeries
 from heckeskein.symfun import SymFunc, complete, elementary, power_sum, schur
 from heckeskein.trace import ev_sym
+from oracles import (
+    elem_murphy_series_dense,
+    murphy_series_dense,
+    murphy_series_times_dense,
+    power_sum_T_dense,
+    psi_dense,
+)
 
 
 def test_psi_of_one():
@@ -107,3 +123,48 @@ def test_parse_element():
     for bad in ("q7", "", "h", "s()", "h1**2", "s(2,1"):
         with pytest.raises(ValueError):
             parse_element(bad)
+
+
+_GRAMMAR_FACTORS = [
+    ("h1", 1), ("h2", 2), ("h3", 3), ("h4", 4), ("e1", 1), ("e2", 2), ("e3", 3),
+    ("p1", 1), ("p2", 2), ("p3", 3), ("p4", 4), ("s(1)", 1), ("s(2,1)", 3),
+    ("s(1,1)", 2), ("s(2,2)", 4), ("s(3,1)", 4), ("2", 0), ("-3", 0), ("7", 0),
+]
+
+
+def test_word_route_matches_dense_psi():
+    """psi and power_sum_T by Murphy-braid words equal the dense products."""
+    rng = random.Random(8008)
+    for n in range(0, 5):
+        for _ in range(6):
+            factors, degree = [], 0
+            for _ in range(rng.randint(1, 3)):
+                text, deg = rng.choice(_GRAMMAR_FACTORS)
+                if degree + deg <= 4:
+                    factors.append(text)
+                    degree += deg
+            f = parse_element("*".join(factors))
+            assert psi(n, f) == psi_dense(n, f), (n, factors)
+    for k in range(1, 4):
+        assert psi(5, complete(k)) == psi_dense(5, complete(k))
+    for n in range(1, 5):
+        for m in range(1, 5):
+            assert power_sum_T(m, n) == power_sum_T_dense(m, n)
+
+
+def test_word_route_matches_dense_murphy_series():
+    """Both Murphy series and murphy_series_times equal the series products."""
+    half, inv_q2 = Scalar.from_fraction(1, 2), (s_pow(1) + s_pow(-1)).inv()
+    pairs = [
+        (s_pow(-1) * v_pow(-1), s_pow(1) * v_pow(-1)),  # the Murphy-series identity
+        (inv_q2, half * v_pow(1)),  # a and b with denominators
+    ]
+    for n in range(1, 5):
+        for order in range(0, 5):
+            assert murphy_series(n, order) == murphy_series_dense(n, order)
+            assert elem_murphy_series(n, order) == elem_murphy_series_dense(n, order)
+            psi0 = TruncSeries([ev_sym(complete(k)) for k in range(order + 1)])
+            for a, b in pairs:
+                assert murphy_series_times(n, psi0, a, b) == murphy_series_times_dense(
+                    n, psi0, a, b
+                )
