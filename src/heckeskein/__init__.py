@@ -20,7 +20,6 @@ from .hecke import (
     murphy_T,
     phi_s,
     power_sum_T,
-    rescale,
     t_circle,
     word_elt,
 )
@@ -31,6 +30,7 @@ from .repn import (
     central_scalar,
     character,
     closure,
+    closure_schur,
     partitions_of,
     phi_apply,
     rep_of,
@@ -44,6 +44,7 @@ from .symfun import (
     complete,
     elementary,
     from_p,
+    from_schur,
     power_sum,
     schur,
     to_p,
@@ -57,14 +58,15 @@ __all__ = [
     "IntLaurent", "Scalar", "delta", "quantum_int", "s_pow", "v_pow", "z",
     "HeckeElt", "a_sym", "b_sym", "e_idem", "elem_murphy_series", "gamma_elt",
     "h_idem", "murphy_M", "murphy_series", "murphy_T",
-    "phi_s", "power_sum_T", "rescale", "t_circle", "word_elt",
+    "phi_s", "power_sum_T", "t_circle", "word_elt",
     "Perm", "all_perms", "coset_decompose", "length", "reduced_word",
     "transposition",
     "parse_element", "psi", "psi_eigen_check", "verify_murphy_series",
-    "RepMatrix", "central_scalar", "character", "closure", "partitions_of",
+    "RepMatrix", "central_scalar", "character", "closure", "closure_schur",
+    "partitions_of",
     "phi_apply", "rep_of", "rho", "std_tableaux",
     "TruncSeries", "geometric",
     "SymFunc", "closed_braid_A", "complete", "elementary", "from_p",
-    "power_sum", "schur", "to_p", "to_schur",
+    "from_schur", "power_sum", "schur", "to_p", "to_schur",
     "ev_sym", "homfly", "markov_ev",
 ]

@@ -326,7 +326,7 @@ def cmd_homfly(strands: int, word: list[int]) -> dict:
 
 
 def cmd_closure(strands: int, word: list[int]) -> dict:
-    return repn.closure(word_elt(strands, word)).to_json(basis="schur")
+    return symfun.basis_json("schur", repn.closure_schur(word_elt(strands, word)))
 
 
 def cmd_characters(n: int) -> list[dict]:

@@ -485,11 +485,6 @@ def add_power_sum_T(x: HeckeElt, m: int, a: Scalar, c: Scalar) -> HeckeElt:
     return _normal(x.n, nums, x.den * a.den * c.den)
 
 
-def rescale(x: HeckeElt, x_param: Scalar) -> HeckeElt:
-    """Writhe rescaling: w_pi -> x^{l(pi)} w_pi termwise."""
-    return HeckeElt(x.n, {p: c * x_param ** length(p) for p, c in x.terms.items()})
-
-
 def murphy_series(n: int, order: int) -> TruncSeries:
     """HM(t) = prod_j (1 - T(j) t)^{-1}, coefficients central in H_n."""
     return murphy_series_times(n, TruncSeries([ONE], order), ZERO, ONE)

@@ -63,21 +63,6 @@ def identity(n: int) -> Perm:
     return Perm(tuple(range(1, n + 1)))
 
 
-def compose(a: Perm, b: Perm) -> Perm:
-    """The product a * b, acting as a after b: (a*b)(i) = a(b(i))."""
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    im_a = a.images
-    return Perm(tuple(im_a[j - 1] for j in b.images))
-
-
-def inverse(a: Perm) -> Perm:
-    out = [0] * a.n
-    for i, v in enumerate(a.images):
-        out[v - 1] = i + 1
-    return Perm(tuple(out))
-
-
 def length(a: Perm) -> int:
     """Coxeter length = inversion count = writhe of the permutation braid."""
     return _length(a.images)

@@ -19,8 +19,10 @@ T(j) acts diagonally with eigenvalues s^(2 * content of the cell of j).
 A character is the linear functional sending w_pi to the trace of its
 matrix.  Those traces are Laurent polynomials in s, cached per basis braid,
 and the character of x is their pairing with x (HeckeElt.pair).  Closure
-into the annulus ring is the character-weighted sum of Schur functions; its
-compatibility with the Markov trace is an independent check.
+into the annulus ring is the character-weighted sum of Schur functions, so
+the Schur coordinates of a closure are its characters (closure_schur) and
+need no conversion out of the h basis; compatibility with the Markov trace
+is an independent check.
 The encircling map on the annulus ring scales each Schur function s_lambda
 by the scalar through which T^(n) acts on the shape lambda.
 """
@@ -34,7 +36,7 @@ from typing import Iterator
 from .coeff import ONE, ZERO, IntLaurent, Scalar, add_term, s_pow, z
 from .hecke import HeckeElt, t_circle
 from .perm import MAX_PERM_N, right_gen, word_of
-from .symfun import Partition, SymFunc, check_partition, schur, to_schur
+from .symfun import Partition, SymFunc, check_partition, from_schur, to_schur
 
 MAX_CELLS = MAX_PERM_N
 
@@ -219,19 +221,27 @@ def character(x: HeckeElt, parts) -> Scalar:
     return x.pair(lambda images: _basis_character(lam, images))
 
 
-def closure(x: HeckeElt) -> SymFunc:
-    """Image of x in the annulus ring: sum over shapes of character * s_lambda.
+def closure_schur(x: HeckeElt) -> dict[Partition, Scalar]:
+    """Schur coordinates of the closure of x: {lambda: character}, zeros omitted.
 
-    This is the trace-valued closure map; closure(E_lambda) is the Schur
-    function s_lambda, and compatibility with the Markov trace is verified
-    independently in the trace module tests.
+    closure(E_lambda) is the Schur function s_lambda, so the coefficient of
+    s_lambda in closure(x) is the character of x on lambda.
     """
-    out = SymFunc()
+    out = {}
     for lam in partitions_of(x.n):
         chi = character(x, lam)
         if not chi.is_zero():
-            out = out + schur(lam).scale(chi)
+            out[lam] = chi
     return out
+
+
+def closure(x: HeckeElt) -> SymFunc:
+    """Image of x in the annulus ring: sum over shapes of character * s_lambda.
+
+    This is the trace-valued closure map; its compatibility with the Markov
+    trace is verified independently in the trace module tests.
+    """
+    return from_schur(closure_schur(x))
 
 
 def central_scalar(x: HeckeElt, parts) -> Scalar:
@@ -258,7 +268,6 @@ def phi_apply(f: SymFunc, n: int) -> SymFunc:
     if f.homogeneous_degree() != n:
         raise ValueError(f"phi needs a homogeneous element of degree {n}")
     tc = t_circle(n)
-    out = SymFunc()
-    for lam, c in to_schur(f).items():
-        out = out + schur(lam).scale(c * central_scalar(tc, lam))
-    return out
+    return from_schur(
+        {lam: c * central_scalar(tc, lam) for lam, c in to_schur(f).items()}
+    )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Mapping
 
 from .coeff import Scalar, add_term, s_pow, z
 from .series import DEFAULT_ORDER, TruncSeries
@@ -149,13 +150,7 @@ class SymFunc:
             rows = to_p(self)
         else:
             raise ValueError(f"unknown basis {basis!r}")
-        return {
-            "basis": basis,
-            "terms": [
-                {"partition": list(p), "coeff": c.to_json()}
-                for p, c in sorted(rows.items())
-            ],
-        }
+        return basis_json(basis, rows)
 
     @staticmethod
     def from_json(obj: dict) -> SymFunc:
@@ -167,10 +162,7 @@ class SymFunc:
         if basis == "h":
             return SymFunc(rows)
         if basis == "schur":
-            out = SymFunc()
-            for p, c in rows.items():
-                out = out + schur(p).scale(c)
-            return out
+            return from_schur(rows)
         if basis == "p":
             return from_p(rows)
         raise ValueError(f"unknown basis {basis!r}")
@@ -180,6 +172,17 @@ class SymFunc:
             return "SymFunc(0)"
         body = " + ".join(f"({c!r})*h{list(p)}" for p, c in sorted(self.terms.items()))
         return f"SymFunc({body})"
+
+
+def basis_json(basis: str, rows: Mapping[Partition, Scalar]) -> dict:
+    """JSON form of the expansion sum rows[lambda] b_lambda in a named basis."""
+    return {
+        "basis": basis,
+        "terms": [
+            {"partition": list(p), "coeff": c.to_json()}
+            for p, c in sorted(rows.items())
+        ],
+    }
 
 
 def complete(k: int) -> SymFunc:
@@ -242,6 +245,15 @@ def schur(parts) -> SymFunc:
     out = SymFunc()
     for key, c in _schur_terms(lam):
         out.terms[key] = Scalar.from_int(c)
+    return out
+
+
+def from_schur(rows: Mapping[Partition, Scalar]) -> SymFunc:
+    """sum of rows[lambda] s_lambda, accumulated in one pass in the h basis."""
+    out = SymFunc()
+    for lam, c in rows.items():
+        for key, k in schur(lam).terms.items():
+            add_term(out.terms, key, k * c)
     return out
 
 

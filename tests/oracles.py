@@ -21,7 +21,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from heckeskein.coeff import Scalar, delta, s_pow, v_pow
 from heckeskein.hecke import HeckeElt, word_elt
-from heckeskein.perm import Perm, coset_decompose
+from heckeskein.perm import Perm, coset_decompose, length
 from heckeskein.series import TruncSeries, geometric
 from heckeskein.symfun import power_sum, to_p
 from heckeskein.trace import ev_sym
@@ -190,3 +190,23 @@ def murphy_series_times_dense(n: int, f: TruncSeries, a, b) -> TruncSeries:
     lifted = TruncSeries([HeckeElt.scalar(n, c) for c in f.coeffs])
     hm = murphy_series_dense(n, f.order)
     return lifted * hm.scale_t(b) * hm.scale_t(a).inverse()
+
+
+def compose(a: Perm, b: Perm) -> Perm:
+    """The product a * b, acting as a after b: (a*b)(i) = a(b(i))."""
+    if a.n != b.n:
+        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
+    im_a = a.images
+    return Perm(tuple(im_a[j - 1] for j in b.images))
+
+
+def inverse(a: Perm) -> Perm:
+    out = [0] * a.n
+    for i, v in enumerate(a.images):
+        out[v - 1] = i + 1
+    return Perm(tuple(out))
+
+
+def rescale(x: HeckeElt, x_param: Scalar) -> HeckeElt:
+    """Writhe rescaling: w_pi -> x^{l(pi)} w_pi termwise."""
+    return HeckeElt(x.n, {p: c * x_param ** length(p) for p, c in x.terms.items()})

@@ -34,6 +34,10 @@ GOLDEN = [
      "a22eb81c1c43ee0532c6b8da8989156a6ececa3d48a2bea2f7c2b6ed669aa327"),
     (["psi", "--n", "5", "--elem", "s(2,1)*p2"],
      "f5f8a63f1df89ab0ab8125a6f59632b8bfdbb845424e0f7117325f000ea18c2b"),
+    (["closure", "--strands", "3", "--word", "1 2 1"],
+     "60c8b5a42785251ff3a304e775bcebb7fe86baee6d18c0bf8bd685318aa52653"),
+    (["closure", "--strands", "6", "--word", "1 -2 3 4 -5 1 2 -3 -4 5 1 2"],
+     "9282e7e7948c778d1fd462778d053870aeb956ef4e2d10cd5e7982c2a7be3e26"),
 ]
 
 

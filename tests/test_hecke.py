@@ -17,12 +17,12 @@ from heckeskein.hecke import (
     phi_eval,
     phi_s,
     power_sum_T,
-    rescale,
     t_circle,
     word_elt,
 )
 from heckeskein.perm import Perm, all_perms, transposition
 from heckeskein.series import TruncSeries
+from oracles import rescale
 
 
 def rand_elt(rng, n, terms=3):

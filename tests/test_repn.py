@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from heckeskein.coeff import ONE, Scalar, delta, s_pow, v_pow, z
+from heckeskein import cli, symfun
+from heckeskein.coeff import ONE, Scalar, delta, quantum_int, s_pow, v_pow, z
 from heckeskein.hecke import (
     HeckeElt,
     h_idem,
@@ -17,6 +18,7 @@ from heckeskein.repn import (
     central_scalar,
     character,
     closure,
+    closure_schur,
     content_of,
     partitions_of,
     rep_of,
@@ -24,7 +26,7 @@ from heckeskein.repn import (
     std_tableaux,
 )
 from heckeskein.repn import _mat_identity, _mat_mul
-from heckeskein.symfun import SymFunc, complete, schur
+from heckeskein.symfun import SymFunc, complete, schur, to_schur
 
 
 def rand_elt(rng, n, terms=3):
@@ -157,6 +159,53 @@ def test_closure_trace_property():
         for _ in range(6):
             x, y = rand_elt(rng, n), rand_elt(rng, n)
             assert closure(x * y) == closure(y * x)
+
+
+def rand_word(rng, n):
+    if n < 2:
+        return []
+    length = rng.randint(0, 2 * n)
+    return [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]
+
+
+def test_closure_schur_is_schur_expansion_of_closure():
+    rng = random.Random(4711)
+    for n in range(1, 6):
+        for _ in range(5):
+            x = word_elt(n, rand_word(rng, n))
+            assert closure_schur(x) == to_schur(closure(x))
+    # coefficients with denominators: delta, 1/[2] and their products
+    factors = [delta(), delta().inv(), quantum_int(2).inv(), z(),
+               Scalar.from_fraction(1, 2)]
+    for n in range(1, 5):
+        perms = list(all_perms(n))
+        for _ in range(4):
+            x = HeckeElt(n)
+            for _ in range(3):
+                c = rng.choice(factors) * rng.choice(factors)
+                x = x + HeckeElt(n, {perms[rng.randrange(len(perms))]: c})
+            assert closure_schur(x) == to_schur(closure(x))
+
+
+def test_closure_schur_omits_zero_coordinates():
+    # the closure of sigma_1 sigma_2 sigma_1 has no s_(2,1) term
+    cs = closure_schur(word_elt(3, [1, 2, 1]))
+    assert set(cs) == {(3,), (1, 1, 1)}
+    assert cs[(3,)] == s_pow(3)
+    assert cs[(1, 1, 1)] == -s_pow(-3)
+
+
+def test_cmd_closure_needs_no_schur_elimination(monkeypatch):
+    words = {3: [1, 2, 1], 4: [1, -2, 3, 1], 5: [1, -2, 3, -4, 2, 1]}
+    expected = {n: closure(word_elt(n, w)).to_json(basis="schur")
+                for n, w in words.items()}
+
+    def forbidden(f):
+        raise AssertionError("to_schur called")
+
+    monkeypatch.setattr(symfun, "to_schur", forbidden)
+    for n, w in words.items():
+        assert cli.cmd_closure(n, w) == expected[n]
 
 
 def test_central_scalar():

@@ -15,6 +15,7 @@ from heckeskein.symfun import (
     elementary,
     elementary_series,
     from_p,
+    from_schur,
     power_sum,
     schur,
     to_p,
@@ -52,6 +53,18 @@ def test_schur_round_trip_degree_8():
     f = schur((3, 1)).scale(z()) + schur((2, 2)).scale(delta()) + schur((4,))
     exp = to_schur(f)
     assert exp == {(3, 1): z(), (2, 2): delta(), (4,): ONE}
+
+
+def test_from_schur_inverts_to_schur():
+    rng = random.Random(606)
+    coeffs = [ONE, z(), delta(), delta().inv(), s_pow(-2), Scalar.from_fraction(-3, 2)]
+    for _ in range(25):
+        f = SymFunc()
+        for _ in range(rng.randint(1, 5)):
+            lam = rng.choice(list(partitions_of(rng.randint(0, 6))))
+            f = f + SymFunc.h_monomial(lam, rng.choice(coeffs))
+        assert from_schur(to_schur(f)) == f
+    assert from_schur({}) == SymFunc()
 
 
 def test_power_sum_examples():
