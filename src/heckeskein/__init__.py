@@ -12,9 +12,9 @@ from .hecke import (
     a_sym,
     b_sym,
     e_idem,
-    elem_murphy_series,
     gamma_elt,
     h_idem,
+    lincomb,
     murphy_M,
     murphy_series,
     murphy_T,
@@ -26,7 +26,6 @@ from .hecke import (
 from .perm import Perm, all_perms, coset_decompose, length, reduced_word, transposition
 from .psi import parse_element, psi, psi_eigen_check, verify_murphy_series
 from .repn import (
-    RepMatrix,
     central_scalar,
     character,
     closure,
@@ -56,13 +55,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntLaurent", "Scalar", "delta", "quantum_int", "s_pow", "v_pow", "z",
-    "HeckeElt", "a_sym", "b_sym", "e_idem", "elem_murphy_series", "gamma_elt",
-    "h_idem", "murphy_M", "murphy_series", "murphy_T",
+    "HeckeElt", "a_sym", "b_sym", "e_idem", "gamma_elt",
+    "h_idem", "lincomb", "murphy_M", "murphy_series", "murphy_T",
     "phi_s", "power_sum_T", "t_circle", "word_elt",
     "Perm", "all_perms", "coset_decompose", "length", "reduced_word",
     "transposition",
     "parse_element", "psi", "psi_eigen_check", "verify_murphy_series",
-    "RepMatrix", "central_scalar", "character", "closure", "closure_schur",
+    "central_scalar", "character", "closure", "closure_schur",
     "partitions_of",
     "phi_apply", "rep_of", "rho", "std_tableaux",
     "TruncSeries", "geometric",

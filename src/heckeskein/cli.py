@@ -40,7 +40,6 @@ from .symfun import SymFunc, closed_braid_A, complete, power_sum
 
 MAX_N = 6
 MAX_DEGREE = 8
-MAX_STRANDS = MAX_PERM_N
 DEFAULT_N = 4
 DEFAULT_DEGREE = 4
 
@@ -478,7 +477,7 @@ def main(argv=None) -> int:
             _emit(reports, args.pretty, args.out, _render_verify)
             return code
         if args.command == "homfly":
-            strands = _bounded(args.strands, "--strands", 1, MAX_STRANDS)
+            strands = _bounded(args.strands, "--strands", 1, MAX_PERM_N)
             payload = cmd_homfly(strands, parse_word(args.word))
             _emit(payload, args.pretty, args.out)
             return 0

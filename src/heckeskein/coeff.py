@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 ExpPair = tuple[int, int]  # (e_v, e_s)
 
@@ -483,18 +484,9 @@ def laurent_divexact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
     return IntLaurent(quot)
 
 
-_GCD_CACHE: dict[tuple, IntLaurent] = {}
-_GCD_CACHE_MAX = 1 << 16
-
-
+@lru_cache(maxsize=1 << 16)
 def _gcd_cached(f: IntLaurent, g: IntLaurent) -> IntLaurent:
-    key = (f.key(), g.key())
-    hit = _GCD_CACHE.get(key)
-    if hit is None:
-        hit = poly_gcd(f, g)
-        if len(_GCD_CACHE) < _GCD_CACHE_MAX:
-            _GCD_CACHE[key] = hit
-    return hit
+    return poly_gcd(f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ x * y expands every braid of y along its canonical reduced word, which is
 valid because lengths are additive along reduced words.
 
 sigma_i^{±1} acts on the numerators by a matrix invertible over
-Z[s^{±1}], so braid words keep the form canonical.  Sums, products,
-scalings and the mirror map renormalise once, in _normal: a gcd of den
-folded over the numerators, then the unit.
+Z[s^{±1}], so braid words keep the form canonical.  Sums, scalings and
+psi's sums go through `lincomb`, normalised once; products and the mirror
+map renormalise once too.  Normalising is _normal: a gcd of den folded
+over the numerators, then the unit.
 
 Polynomials in the commuting Murphy braids T(j) (power sums, the Murphy
 series) are built without dense products: the braid word of T(j) acts on
@@ -133,34 +134,18 @@ class HeckeElt:
         return HeckeElt.identity(self.n)
 
     def scale(self, c: Scalar) -> HeckeElt:
-        if c.is_zero():
-            return HeckeElt(self.n)
-        k = c.num
-        return _normal(
-            self.n, {im: a * k for im, a in self.nums.items()}, self.den * c.den
-        )
+        return lincomb(self.n, [(self, c)])
 
     # -- linear structure --------------------------------------------------------------
 
     def __add__(self, other: HeckeElt) -> HeckeElt:
-        self._check(other)
-        a, b = self.den, other.den
-        if a == b:
-            fa = fb = _ONE_POLY
-        else:
-            # bring both sides over the lcm a * (b/g)
-            g = poly_gcd(a, b)
-            fa, fb = laurent_divexact(b, g), laurent_divexact(a, g)
-        nums = {im: c * fa for im, c in self.nums.items()}
-        for im, c in other.nums.items():
-            add_term(nums, im, c * fb)
-        return _normal(self.n, nums, a * fa)
+        return lincomb(self.n, [(self, ONE), (other, ONE)])
 
     def __neg__(self) -> HeckeElt:
         return _elt(self.n, {im: -c for im, c in self.nums.items()}, self.den)
 
     def __sub__(self, other: HeckeElt) -> HeckeElt:
-        return self + (-other)
+        return lincomb(self.n, [(self, ONE), (other, -ONE)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -173,21 +158,17 @@ class HeckeElt:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def _check(self, other: HeckeElt):
-        if self.n != other.n:
-            raise ValueError(f"strand mismatch: {self.n} vs {other.n}")
-
     # -- multiplication ----------------------------------------------------------------
 
     def __mul__(self, other: HeckeElt) -> HeckeElt:
-        self._check(other)
+        if self.n != other.n:
+            raise ValueError(f"strand mismatch: {self.n} vs {other.n}")
         acc: PolyTerms = {}
         for rho, c_rho in other.nums.items():
             cur = self.nums
             for i in word_of(rho):
                 cur = _rmul_gen_poly(cur, i, +1)
-            for im, c in cur.items():
-                add_term(acc, im, c * c_rho)
+            _iadd(acc, c_rho, cur)
         return _normal(self.n, acc, self.den * other.den)
 
     def rmul_word(self, word) -> HeckeElt:
@@ -229,9 +210,7 @@ class HeckeElt:
         """Switch all crossings and invert v and s; an involution."""
         acc: PolyTerms = {}
         for images, c in self.nums.items():
-            mc = c.mirror()
-            for im, cc in _mirror_basis(images).items():
-                add_term(acc, im, cc * mc)
+            _iadd(acc, c.mirror(), _mirror_basis(images))
         return _normal(self.n, acc, self.den.mirror())
 
     def is_central(self) -> bool:
@@ -280,8 +259,42 @@ def _elt(n: int, nums: PolyTerms, den: IntLaurent) -> HeckeElt:
     return out
 
 
+def lincomb(n: int, pairs) -> HeckeElt:
+    """The sum of c x over the (x, c) pairs, HeckeElts in H_n and Scalars.
+
+    Each term is brought over D, the lcm of the x.den c.den, as the numerators
+    c.num (D / (x.den c.den)) x.nums; they are accumulated in place and the
+    sum is normalised once.
+    """
+    terms = []
+    for x, c in pairs:
+        if x.n != n:
+            raise ValueError(f"strand mismatch: {x.n} vs {n}")
+        if x.nums and not c.is_zero():
+            terms.append((x.nums, c.num, x.den * c.den))
+    den = _ONE_POLY
+    for _, _, d in terms:
+        den = _lcm(den, d)
+    acc: PolyTerms = {}
+    for nums, k, d in terms:
+        _iadd(acc, k if d == den else k * laurent_divexact(den, d), nums)
+    return _normal(n, acc, den)
+
+
 def _lcm(a: IntLaurent, b: IntLaurent) -> IntLaurent:
+    if a == b or b.is_one():
+        return a
+    if a.is_one():
+        return b
     return a * laurent_divexact(b, poly_gcd(a, b))
+
+
+def _iadd(acc: PolyTerms, k: IntLaurent, nums: PolyTerms) -> None:
+    """acc += k nums, in place, for numerators over one denominator."""
+    if k.is_zero():
+        return
+    for im, c in nums.items():
+        add_term(acc, im, c * k)
 
 
 def _normal(n: int, nums: PolyTerms, den: IntLaurent) -> HeckeElt:
@@ -349,16 +362,6 @@ def _rmul_murphy(terms: PolyTerms, j: int, m: int) -> PolyTerms:
     return terms
 
 
-def _axpy(y: PolyTerms, k: IntLaurent, x: PolyTerms) -> PolyTerms:
-    """y + k x for numerators over one denominator; y itself when k is 0."""
-    if k.is_zero():
-        return y
-    out = dict(y)
-    for im, val in x.items():
-        add_term(out, im, val * k)
-    return out
-
-
 @cache
 def _mirror_basis(images: Images) -> PolyTerms:
     """Expansion of the crossing-switched braid of w_pi in the braid basis.
@@ -406,24 +409,18 @@ def t_circle(n: int) -> HeckeElt:
     """
     if n < 0:
         raise ValueError("strand count must be >= 0")
-    out = HeckeElt.scalar(n, delta())
-    if n == 0:
-        return out
-    acc = HeckeElt(n)
-    for j in range(1, n + 1):
-        acc = acc + murphy_T(j, n)
-    return out + acc.scale(z() * v_pow(-1))
+    c = z() * v_pow(-1)
+    murphy = [(murphy_T(j, n), c) for j in range(1, n + 1)]
+    return lincomb(n, [(HeckeElt.identity(n), delta())] + murphy)
 
 
 def gamma_elt(n: int) -> HeckeElt:
     """gamma_n = 1 + s sigma_{n-1} + s^2 sigma_{n-1}sigma_{n-2} + ... in H_n."""
     if n < 1:
         raise ValueError("gamma needs n >= 1")
-    out = HeckeElt.identity(n)
-    for k in range(1, n):
-        word = list(range(n - 1, n - 1 - k, -1))
-        out = out + word_elt(n, word).scale(s_pow(k))
-    return out
+    return lincomb(
+        n, [(word_elt(n, list(range(n - 1, n - 1 - k, -1))), s_pow(k)) for k in range(n)]
+    )
 
 
 def a_sym(n: int) -> HeckeElt:
@@ -442,11 +439,13 @@ def b_sym(n: int) -> HeckeElt:
 
 
 def phi_eval(x: HeckeElt, t: Scalar) -> Scalar:
-    """One-dimensional evaluation sending each basis braid to t^{length}."""
-    out = Scalar.from_int(0)
-    for p, c in x.terms.items():
-        out = out + c * t ** length(p)
-    return out
+    """One-dimensional evaluation sending each basis braid to t^{length}.
+
+    t must be a Laurent polynomial (denominator 1), as s and -s^{-1} are.
+    """
+    if not t.den.is_one():
+        raise ValueError(f"phi_eval needs a Laurent polynomial, got {t!r}")
+    return x.pair(lambda im: (t ** len(word_of(im))).num)
 
 
 def phi_s(x: HeckeElt) -> Scalar:
@@ -478,21 +477,14 @@ def add_power_sum_T(x: HeckeElt, m: int, a: Scalar, c: Scalar) -> HeckeElt:
         raise ValueError("power must be >= 1")
     acc: PolyTerms = {}
     for j in range(1, x.n + 1):
-        for im, val in _rmul_murphy(x.nums, j, m).items():
-            add_term(acc, im, val)
-    # over den(x) a.den c.den
-    nums = _axpy(_axpy({}, c.num * a.den, acc), a.num * c.den, x.nums)
-    return _normal(x.n, nums, x.den * a.den * c.den)
+        _iadd(acc, _ONE_POLY, _rmul_murphy(x.nums, j, m))
+    # x (T(1)^m + ... + T(n)^m) over den(x), not yet normalised
+    return lincomb(x.n, [(x, a), (_elt(x.n, acc, x.den), c)])
 
 
 def murphy_series(n: int, order: int) -> TruncSeries:
     """HM(t) = prod_j (1 - T(j) t)^{-1}, coefficients central in H_n."""
     return murphy_series_times(n, TruncSeries([ONE], order), ZERO, ONE)
-
-
-def elem_murphy_series(n: int, order: int) -> TruncSeries:
-    """EM(t) = prod_j (1 + T(j) t), coefficients central in H_n."""
-    return murphy_series_times(n, TruncSeries([ONE], order), -ONE, ZERO)
 
 
 def murphy_series_times(
@@ -523,9 +515,10 @@ def murphy_series_times(
         prev = coeffs[0]
         for k in range(1, len(coeffs)):
             shifted = _rmul_murphy(prev, j, 1)
-            d = _axpy(coeffs[k], kb, shifted)
-            coeffs[k] = _axpy(d, ka, shifted)
-            prev = d
+            d = coeffs[k]
+            _iadd(d, kb, shifted)  # d_k, in place
+            prev = dict(d)
+            _iadd(d, ka, shifted)  # c_k
     out = [_normal(n, c, d) for c, d in zip(coeffs, dens)]
     for c in out[1:]:
         if not c.is_central():

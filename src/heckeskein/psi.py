@@ -17,7 +17,8 @@ of a power-sum monomial is built from its longest prefix and memoised,
 
 with x = psi_n(p_lambda), a_m = psi_0(P_m) and c_m = (s^m - s^{-m}) v^{-m}:
 the words act on the numerators over x's denominator, and each step
-normalises once.  The right side of the Murphy-series identity multiplies
+normalises once, as does the sum over the power-sum expansion of f (one
+`lincomb`).  The right side of the Murphy-series identity multiplies
 the scalar series psi_0(H(t)) by one factor per j in the same way.
 """
 
@@ -27,7 +28,7 @@ import re
 from functools import lru_cache
 
 from .coeff import Scalar, s_pow, v_pow
-from .hecke import HeckeElt, add_power_sum_T, murphy_series_times
+from .hecke import HeckeElt, add_power_sum_T, lincomb, murphy_series_times
 from .repn import central_scalar, content_of, std_tableaux
 from .series import TruncSeries
 from .symfun import (
@@ -58,10 +59,7 @@ def _psi_p(n: int, parts: tuple[int, ...]) -> HeckeElt:
 
 def psi(n: int, f: SymFunc) -> HeckeElt:
     """Image of f in the centre of H_n."""
-    out = HeckeElt(n)
-    for parts, c in to_p(f).items():
-        out = out + _psi_p(n, parts).scale(c)
-    return out
+    return lincomb(n, [(_psi_p(n, parts), c) for parts, c in to_p(f).items()])
 
 
 def verify_murphy_series(n: int, order: int) -> tuple[bool, dict]:

@@ -29,7 +29,6 @@ by the scalar through which T^(n) acts on the shape lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Iterator
 
@@ -38,16 +37,14 @@ from .hecke import HeckeElt, t_circle
 from .perm import MAX_PERM_N, right_gen, word_of
 from .symfun import Partition, SymFunc, check_partition, from_schur, to_schur
 
-MAX_CELLS = MAX_PERM_N
-
 Tableau = tuple[tuple[int, ...], ...]
 Matrix = list[dict[int, Scalar]]
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, largest-first within lex order."""
-    if n > MAX_CELLS:
-        raise ValueError(f"n = {n} exceeds the partition bound {MAX_CELLS}")
+    if n > MAX_PERM_N:
+        raise ValueError(f"n = {n} exceeds the partition bound {MAX_PERM_N}")
     yield from _partitions(n, n)
 
 
@@ -64,8 +61,8 @@ def _partitions(n: int, cap: int) -> Iterator[Partition]:
 def std_tableaux(parts: Partition) -> tuple[Tableau, ...]:
     """All standard tableaux of the given shape, in a fixed order."""
     lam = check_partition(parts)
-    if sum(lam) > MAX_CELLS:
-        raise ValueError(f"|lambda| = {sum(lam)} exceeds the bound {MAX_CELLS}")
+    if sum(lam) > MAX_PERM_N:
+        raise ValueError(f"|lambda| = {sum(lam)} exceeds the bound {MAX_PERM_N}")
     n = sum(lam)
     out: list[Tableau] = []
 
@@ -97,23 +94,8 @@ def content_of(t: Tableau, entry: int) -> int:
     return c - r
 
 
-@dataclass(frozen=True)
-class RepMatrix:
-    """Action of one generator on the seminormal basis of one shape."""
-
-    partition: Partition
-    gen: int
-    rows: tuple[tuple[tuple[int, Scalar], ...], ...]
-
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def as_matrix(self) -> Matrix:
-        return [dict(row) for row in self.rows]
-
-
 @lru_cache(maxsize=4096)
-def _gen_matrix(parts: Partition, i: int) -> tuple:
+def _gen_matrix(parts: Partition, i: int) -> Matrix:
     tabs = std_tableaux(parts)
     index = {t: k for k, t in enumerate(tabs)}
     dim = len(tabs)
@@ -139,7 +121,7 @@ def _gen_matrix(parts: Partition, i: int) -> tuple:
                 rows[k2][k2] = zz - alpha
                 rows[k][k2] = ONE
                 rows[k2][k] = alpha * (zz - alpha) + ONE
-    return tuple(tuple(sorted(r.items())) for r in rows)
+    return rows
 
 
 def _swap_entries(t: Tableau, i: int) -> Tableau:
@@ -147,13 +129,13 @@ def _swap_entries(t: Tableau, i: int) -> Tableau:
     return tuple(tuple(swap.get(v, v) for v in row) for row in t)
 
 
-def rho(parts, i: int) -> RepMatrix:
-    """The seminormal matrix of sigma_i on shape lambda."""
+def rho(parts, i: int) -> Matrix:
+    """The seminormal matrix of sigma_i on shape lambda (cached; do not mutate)."""
     lam = check_partition(parts)
     n = sum(lam)
     if not (1 <= i <= n - 1):
         raise ValueError(f"generator index {i} out of range for |lambda| = {n}")
-    return RepMatrix(lam, i, _gen_matrix(lam, i))
+    return _gen_matrix(lam, i)
 
 
 # -- sparse matrix helpers ----------------------------------------------------
@@ -181,7 +163,7 @@ def _basis_matrix(lam: Partition, images: tuple[int, ...]) -> Matrix:
         return _mat_identity(len(std_tableaux(lam)))
     # w_pi = w_{pi s_i} sigma_i for the last letter i of pi's reduced word
     i = word[-1]
-    return _mat_mul(_basis_matrix(lam, right_gen(images, i)), rho(lam, i).as_matrix())
+    return _mat_mul(_basis_matrix(lam, right_gen(images, i)), rho(lam, i))
 
 
 def rep_of(x: HeckeElt, parts) -> Matrix:

@@ -2,17 +2,18 @@ import random
 
 import pytest
 
-from heckeskein.coeff import ONE, Scalar, delta, quantum_int, s_pow, v_pow, z
+from heckeskein.coeff import ONE, ZERO, Scalar, delta, quantum_int, s_pow, v_pow, z
 from heckeskein.hecke import (
     HeckeElt,
     a_sym,
     b_sym,
     e_idem,
-    elem_murphy_series,
     gamma_elt,
     h_idem,
+    lincomb,
     murphy_M,
     murphy_series,
+    murphy_series_times,
     murphy_T,
     phi_eval,
     phi_s,
@@ -84,13 +85,42 @@ def test_operations_return_canonical_form():
         x, y, c = elt(n), elt(n), coeff()
         letters = [i for i in range(1 - n, n) if i != 0]
         word = [rng.choice(letters) for _ in range(rng.randint(1, 4))] if letters else []
+        # 1-4 pairs with repeated elements; coefficients with delta and 1/[3]
+        pool = [(x, c), (y, delta()), (x, quantum_int(3).inv()), (y, -c)]
+        combos = [lincomb(n, pool[:k]) for k in range(1, 5)]
         results = [
             x + y, x - y, x - x, x * y, x.scale(c), x.scale(c.inv()),
             x.rmul_word(word), x.mirror(), x.include(n + 1), -x, x * h_idem(n),
+            *combos, lincomb(n, [(x, c), (x, -c)]),
         ]
         for r in results:
             ref = HeckeElt(r.n, r.terms)
             assert (r.nums, r.den) == (ref.nums, ref.den)
+
+
+def test_lincomb_values_match_scalar_sums():
+    # coefficient by coefficient against sum of c * x.terms[pi] in Scalar
+    # arithmetic, so the values are checked and not only the form
+    rng = random.Random(4242)
+    coeffs = [delta(), quantum_int(3).inv(), z().inv(), Scalar.from_fraction(-1, 2),
+              ONE, ZERO, s_pow(2) * v_pow(-1)]
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        elts = [rand_elt(rng, n).scale(rng.choice(coeffs[:4])) for _ in range(3)]
+        pairs = [(rng.choice(elts), rng.choice(coeffs)) for _ in range(rng.randint(0, 5))]
+        expected = {}
+        for x, c in pairs:
+            for p, a in x.terms.items():
+                expected[p] = expected.get(p, ZERO) + c * a
+        expected = {p: a for p, a in expected.items() if not a.is_zero()}
+        assert dict(lincomb(n, pairs).terms) == expected
+
+
+def test_lincomb_strand_mismatch():
+    with pytest.raises(ValueError):
+        lincomb(3, [(HeckeElt.identity(3), ONE), (HeckeElt.identity(2), ONE)])
+    with pytest.raises(ValueError):
+        lincomb(2, [(HeckeElt.identity(3), ZERO)])
 
 
 def test_word_elt_examples():
@@ -269,6 +299,11 @@ def test_e_idem_column_substitution():
         assert e_idem(n) == b.scale(phi_eval(b, -s_pow(-1)).inv())
 
 
+def test_phi_eval_needs_a_polynomial():
+    with pytest.raises(ValueError):
+        phi_eval(a_sym(2), quantum_int(2).inv())
+
+
 def test_include():
     assert HeckeElt.identity(2).include(3) == HeckeElt.identity(3)
     assert word_elt(2, [1]).include(4) == word_elt(4, [1])
@@ -333,7 +368,7 @@ def test_murphy_series():
     for n in range(1, 5):
         order = 4
         hm = murphy_series(n, order)
-        em = elem_murphy_series(n, order)
+        em = murphy_series_times(n, TruncSeries([ONE], order), -ONE, ZERO)
         assert hm.coeffs[0] == HeckeElt.identity(n)
         first = HeckeElt(n)
         for j in range(1, n + 1):

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from heckeskein.coeff import Scalar, s_pow, v_pow
+from heckeskein.coeff import ONE, ZERO, Scalar, s_pow, v_pow
 from heckeskein.hecke import (
     HeckeElt,
-    elem_murphy_series,
     murphy_T,
     murphy_series,
     murphy_series_times,
@@ -162,7 +161,8 @@ def test_word_route_matches_dense_murphy_series():
     for n in range(1, 5):
         for order in range(0, 5):
             assert murphy_series(n, order) == murphy_series_dense(n, order)
-            assert elem_murphy_series(n, order) == elem_murphy_series_dense(n, order)
+            em = murphy_series_times(n, TruncSeries([ONE], order), -ONE, ZERO)
+            assert em == elem_murphy_series_dense(n, order)
             psi0 = TruncSeries([ev_sym(complete(k)) for k in range(order + 1)])
             for a, b in pairs:
                 assert murphy_series_times(n, psi0, a, b) == murphy_series_times_dense(

@@ -55,15 +55,15 @@ def test_sum_of_squares():
 
 
 def test_rho_one_dimensional():
-    assert rho((2,), 1).as_matrix() == [{0: s_pow(1)}]
-    assert rho((1, 1), 1).as_matrix() == [{0: -s_pow(-1)}]
+    assert rho((2,), 1) == [{0: s_pow(1)}]
+    assert rho((1, 1), 1) == [{0: -s_pow(-1)}]
 
 
 def test_rho_relations():
     zz = z()
     for n in range(2, 6):
         for lam in partitions_of(n):
-            gens = [rho(lam, i).as_matrix() for i in range(1, n)]
+            gens = [rho(lam, i) for i in range(1, n)]
             dim = len(std_tableaux(lam))
             for i in range(n - 1):
                 g = gens[i]
