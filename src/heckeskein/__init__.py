@@ -31,7 +31,6 @@ from .repn import (
     closure,
     closure_schur,
     partitions_of,
-    phi_apply,
     rep_of,
     rho,
     std_tableaux,
@@ -63,7 +62,7 @@ __all__ = [
     "parse_element", "psi", "psi_eigen_check", "verify_murphy_series",
     "central_scalar", "character", "closure", "closure_schur",
     "partitions_of",
-    "phi_apply", "rep_of", "rho", "std_tableaux",
+    "rep_of", "rho", "std_tableaux",
     "TruncSeries", "geometric",
     "SymFunc", "closed_braid_A", "complete", "elementary", "from_p",
     "from_schur", "power_sum", "schur", "to_p", "to_schur",

@@ -673,10 +673,6 @@ class Scalar:
     def to_json(self) -> dict:
         return {"num": _poly_json(self.num), "den": _poly_json(self.den)}
 
-    @staticmethod
-    def from_json(obj: dict) -> Scalar:
-        return Scalar(_poly_from_json(obj["num"]), _poly_from_json(obj["den"]))
-
     def __repr__(self) -> str:
         if self.den.is_one():
             return f"Scalar('{_fmt_poly(self.num)}')"
@@ -685,10 +681,6 @@ class Scalar:
 
 def _poly_json(p: IntLaurent) -> list:
     return [[a, b, str(c)] for (a, b), c in sorted(p.terms.items())]
-
-
-def _poly_from_json(rows: list) -> IntLaurent:
-    return IntLaurent({(int(a), int(b)): int(c) for a, b, c in rows})
 
 
 def _reduce(num: IntLaurent, den: IntLaurent) -> tuple[IntLaurent, IntLaurent]:

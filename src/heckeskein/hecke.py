@@ -78,21 +78,11 @@ class HeckeElt:
     __slots__ = ("n", "nums", "den", "_terms")
 
     def __init__(self, n: int, terms: Mapping[Perm, Scalar] | None = None):
-        """The element sum of terms[pi] w_pi, over the lcm of its denominators."""
-        terms = terms or {}
-        den = _ONE_POLY
-        for p, c in terms.items():
-            if p.n != n:
-                raise ValueError(f"permutation size {p.n} != strand count {n}")
-            if not c.den.is_one():
-                den = _lcm(den, c.den)
+        """The element sum of terms[pi] w_pi, in canonical form."""
+        x = lincomb(n, [(HeckeElt.basis(p), c) for p, c in (terms or {}).items()])
         self.n = n
-        self.nums: PolyTerms = {
-            p.images: c.num * laurent_divexact(den, c.den)
-            for p, c in terms.items()
-            if not c.is_zero()
-        }
-        self.den = den
+        self.nums: PolyTerms = x.nums
+        self.den = x.den
         self._terms = None
 
     @property
@@ -110,10 +100,6 @@ class HeckeElt:
     @staticmethod
     def identity(n: int) -> HeckeElt:
         return _elt(n, {identity(n).images: _ONE_POLY}, _ONE_POLY)
-
-    @staticmethod
-    def zero(n: int) -> HeckeElt:
-        return HeckeElt(n)
 
     @staticmethod
     def basis(p: Perm) -> HeckeElt:
@@ -227,16 +213,6 @@ class HeckeElt:
             "n": self.n,
             "terms": [{"perm": list(p.images), "coeff": c.to_json()} for p, c in rows],
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> HeckeElt:
-        return HeckeElt(
-            int(obj["n"]),
-            {
-                Perm(tuple(int(x) for x in row["perm"])): Scalar.from_json(row["coeff"])
-                for row in obj["terms"]
-            },
-        )
 
     def __repr__(self) -> str:
         if not self.nums:
@@ -423,19 +399,23 @@ def gamma_elt(n: int) -> HeckeElt:
     )
 
 
+def _length_sum(n: int, sign: int, e: int) -> HeckeElt:
+    """The sum over S_n of (sign s^e)^{l(pi)} w_pi."""
+    nums = {}
+    for p in all_perms(n):
+        l = length(p)
+        nums[p.images] = IntLaurent.monomial(sign**l, 0, e * l)
+    return _elt(n, nums, _ONE_POLY)
+
+
 def a_sym(n: int) -> HeckeElt:
     """The row quasi-idempotent a_n = sum over S_n of s^{l(pi)} w_pi."""
-    nums = {p.images: IntLaurent.monomial(1, 0, length(p)) for p in all_perms(n)}
-    return _elt(n, nums, _ONE_POLY)
+    return _length_sum(n, 1, 1)
 
 
 def b_sym(n: int) -> HeckeElt:
     """The column quasi-idempotent b_n = sum over S_n of (-s)^{-l(pi)} w_pi."""
-    nums = {}
-    for p in all_perms(n):
-        l = length(p)
-        nums[p.images] = IntLaurent.monomial((-1) ** l, 0, -l)
-    return _elt(n, nums, _ONE_POLY)
+    return _length_sum(n, -1, -1)
 
 
 def phi_eval(x: HeckeElt, t: Scalar) -> Scalar:
@@ -475,11 +455,15 @@ def add_power_sum_T(x: HeckeElt, m: int, a: Scalar, c: Scalar) -> HeckeElt:
     """a x + c x (T(1)^m + ... + T(n)^m), normalised once."""
     if m < 1:
         raise ValueError("power must be >= 1")
-    acc: PolyTerms = {}
+    murphy: PolyTerms = {}
     for j in range(1, x.n + 1):
-        _iadd(acc, _ONE_POLY, _rmul_murphy(x.nums, j, m))
-    # x (T(1)^m + ... + T(n)^m) over den(x), not yet normalised
-    return lincomb(x.n, [(x, a), (_elt(x.n, acc, x.den), c)])
+        _iadd(murphy, _ONE_POLY, _rmul_murphy(x.nums, j, m))
+    # both terms over x.den L, with L the lcm of a.den and c.den
+    ell = _lcm(a.den, c.den)
+    acc: PolyTerms = {}
+    _iadd(acc, a.num * laurent_divexact(ell, a.den), x.nums)
+    _iadd(acc, c.num * laurent_divexact(ell, c.den), murphy)
+    return _normal(x.n, acc, x.den * ell)
 
 
 def murphy_series(n: int, order: int) -> TruncSeries:

@@ -50,13 +50,6 @@ class Perm:
     def __repr__(self) -> str:
         return f"Perm({self.images!r})"
 
-    def to_json(self) -> list[int]:
-        return list(self.images)
-
-    @staticmethod
-    def from_json(obj: list[int]) -> Perm:
-        return Perm(tuple(int(x) for x in obj))
-
 
 @lru_cache(maxsize=64)
 def identity(n: int) -> Perm:

@@ -23,8 +23,6 @@ into the annulus ring is the character-weighted sum of Schur functions, so
 the Schur coordinates of a closure are its characters (closure_schur) and
 need no conversion out of the h basis; compatibility with the Markov trace
 is an independent check.
-The encircling map on the annulus ring scales each Schur function s_lambda
-by the scalar through which T^(n) acts on the shape lambda.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ from functools import cache, lru_cache
 from typing import Iterator
 
 from .coeff import ONE, ZERO, IntLaurent, Scalar, add_term, s_pow, z
-from .hecke import HeckeElt, t_circle
+from .hecke import HeckeElt
 from .perm import MAX_PERM_N, right_gen, word_of
-from .symfun import Partition, SymFunc, check_partition, from_schur, to_schur
+from .symfun import Partition, SymFunc, check_partition, from_schur
 
 Tableau = tuple[tuple[int, ...], ...]
 Matrix = list[dict[int, Scalar]]
@@ -241,15 +239,3 @@ def central_scalar(x: HeckeElt, parts) -> Scalar:
         if row.get(r, Scalar.from_int(0)) != value:
             raise ValueError("central element acted non-scalarly")
     return value
-
-
-def phi_apply(f: SymFunc, n: int) -> SymFunc:
-    """The encircling map on the degree-n part: s_lambda -> t_lambda s_lambda."""
-    if f.is_zero():
-        return f
-    if f.homogeneous_degree() != n:
-        raise ValueError(f"phi needs a homogeneous element of degree {n}")
-    tc = t_circle(n)
-    return from_schur(
-        {lam: c * central_scalar(tc, lam) for lam, c in to_schur(f).items()}
-    )

@@ -17,8 +17,6 @@ from typing import Sequence
 
 from .coeff import Scalar
 
-DEFAULT_ORDER = 8
-
 
 class TruncSeries:
     """c_0 + c_1 t + ... + c_N t^N, exact modulo t^(N+1)."""
@@ -107,7 +105,7 @@ class TruncSeries:
         """Multiplicative inverse; needs an invertible constant term."""
         c0 = self.coeffs[0]
         one = self._one()
-        if hasattr(c0, "inv") and isinstance(c0, Scalar):
+        if isinstance(c0, Scalar):
             if c0.is_zero():
                 raise ZeroDivisionError("constant term is zero")
             inv0 = c0.inv()
@@ -122,9 +120,6 @@ class TruncSeries:
                 acc = acc + self.coeffs[i] * out[k - i]
             out.append(-(inv0 * acc))
         return TruncSeries(out)
-
-    def __truediv__(self, other: TruncSeries) -> TruncSeries:
-        return self * other.inverse()
 
     # -- log / exp ------------------------------------------------------------------
 
@@ -170,15 +165,6 @@ class TruncSeries:
                 out.append(coef.scale(power))
                 power = power * c
         return TruncSeries(out)
-
-    # -- serialization ----------------------------------------------------------------
-
-    def to_json(self, algebra: str = "scalar") -> dict:
-        return {
-            "algebra": algebra,
-            "order": self.order,
-            "coeffs": [c.to_json() for c in self.coeffs],
-        }
 
 
 def _scale_all(f: TruncSeries, c: Scalar) -> TruncSeries:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .coeff import Scalar, add_term, s_pow, z
-from .series import DEFAULT_ORDER, TruncSeries
+from .series import TruncSeries
 
 Partition = tuple[int, ...]
 
@@ -54,13 +54,6 @@ class SymFunc:
     def one() -> SymFunc:
         out = SymFunc()
         out.terms[()] = Scalar.from_int(1)
-        return out
-
-    @staticmethod
-    def scalar(c: Scalar) -> SymFunc:
-        out = SymFunc()
-        if not c.is_zero():
-            out.terms[()] = c
         return out
 
     @staticmethod
@@ -119,17 +112,6 @@ class SymFunc:
     def is_zero(self) -> bool:
         return not self.terms
 
-    # -- grading -----------------------------------------------------------------------------
-
-    def degrees(self) -> set[int]:
-        return {sum(p) for p in self.terms}
-
-    def homogeneous_degree(self) -> int | None:
-        degs = self.degrees()
-        if len(degs) != 1:
-            return None
-        return degs.pop()
-
     # -- extra structure ----------------------------------------------------------------------
 
     def mirror(self) -> SymFunc:
@@ -138,34 +120,6 @@ class SymFunc:
         for p, c in self.terms.items():
             out.terms[p] = c.mirror()
         return out
-
-    # -- serialization ----------------------------------------------------------------------
-
-    def to_json(self, basis: str = "h") -> dict:
-        if basis == "h":
-            rows = self.terms
-        elif basis == "schur":
-            rows = to_schur(self)
-        elif basis == "p":
-            rows = to_p(self)
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
-        return basis_json(basis, rows)
-
-    @staticmethod
-    def from_json(obj: dict) -> SymFunc:
-        basis = obj.get("basis", "h")
-        rows = {
-            check_partition(row["partition"]): Scalar.from_json(row["coeff"])
-            for row in obj["terms"]
-        }
-        if basis == "h":
-            return SymFunc(rows)
-        if basis == "schur":
-            return from_schur(rows)
-        if basis == "p":
-            return from_p(rows)
-        raise ValueError(f"unknown basis {basis!r}")
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -193,8 +147,38 @@ def complete(k: int) -> SymFunc:
 
 
 # ---------------------------------------------------------------------------
-# Schur functions and conversions.
+# Changes of basis.  The Schur and power-sum bases are triangular to the
+# h-monomials: basis(mu) contains h_mu, and no basis element still to be
+# eliminated does, so coordinates are read off one pivot at a time.
 # ---------------------------------------------------------------------------
+
+
+def _expand(rows: Mapping[Partition, Scalar], basis: Callable) -> SymFunc:
+    """sum of rows[lambda] basis(lambda), accumulated in one pass in the h basis."""
+    out = SymFunc()
+    for lam, c in rows.items():
+        for key, k in basis(lam).terms.items():
+            add_term(out.terms, key, k * c)
+    return out
+
+
+def _eliminate(f: SymFunc, basis: Callable, pivot: Callable) -> dict[Partition, Scalar]:
+    """The coordinates of f in a triangular basis, by elimination in place.
+
+    pivot(rest) names the partition mu whose h_mu no later basis element
+    contains; its coordinate is rest[mu] over the h_mu coefficient of
+    basis(mu), and that multiple of basis(mu) leaves the remainder.
+    """
+    out: dict[Partition, Scalar] = {}
+    rest = dict(f.terms)
+    while rest:
+        mu = pivot(rest)
+        terms = basis(mu).terms
+        c = rest[mu] / terms[mu]
+        out[mu] = c
+        for key, k in terms.items():
+            add_term(rest, key, -(k * c))
+    return out
 
 
 @lru_cache(maxsize=4096)
@@ -249,26 +233,16 @@ def schur(parts) -> SymFunc:
 
 
 def from_schur(rows: Mapping[Partition, Scalar]) -> SymFunc:
-    """sum of rows[lambda] s_lambda, accumulated in one pass in the h basis."""
-    out = SymFunc()
-    for lam, c in rows.items():
-        for key, k in schur(lam).terms.items():
-            add_term(out.terms, key, k * c)
-    return out
+    """sum of rows[lambda] s_lambda, in the h basis."""
+    return _expand(rows, schur)
 
 
 def to_schur(f: SymFunc) -> dict[Partition, Scalar]:
-    """Schur expansion of f, by lex-triangular elimination per degree."""
-    out: dict[Partition, Scalar] = {}
-    rest = SymFunc()
-    rest.terms = dict(f.terms)
-    while rest.terms:
-        d = min(sum(p) for p in rest.terms)
-        mu = min(p for p in rest.terms if sum(p) == d)
-        c = rest.terms[mu]
-        out[mu] = c
-        rest = rest - schur(mu).scale(c)
-    return out
+    """Schur expansion of f, eliminating the lex-least h_mu of the least degree.
+
+    Jacobi-Trudi gives s_mu = h_mu + terms lex-greater than h_mu.
+    """
+    return _eliminate(f, schur, lambda rest: min(rest, key=lambda p: (sum(p), p)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +250,12 @@ def to_schur(f: SymFunc) -> dict[Partition, Scalar]:
 # ---------------------------------------------------------------------------
 
 
-def complete_series(order: int = DEFAULT_ORDER) -> TruncSeries:
+def complete_series(order: int) -> TruncSeries:
     """H(t) = 1 + h_1 t + h_2 t^2 + ... as a series over the annulus ring."""
     return TruncSeries([complete(k) for k in range(order + 1)])
 
 
-def elementary_series(order: int = DEFAULT_ORDER) -> TruncSeries:
+def elementary_series(order: int) -> TruncSeries:
     """E(t) = 1 + e_1 t + e_2 t^2 + ..."""
     return TruncSeries([elementary(k) for k in range(order + 1)])
 
@@ -317,33 +291,18 @@ def _p_monomial(parts: Partition) -> SymFunc:
     return out
 
 
-def from_p(coeffs: dict[Partition, Scalar]) -> SymFunc:
+def from_p(coeffs: Mapping[Partition, Scalar]) -> SymFunc:
     """Assemble a symmetric function from its power-sum expansion."""
-    out = SymFunc()
-    for p, c in coeffs.items():
-        out = out + _p_monomial(check_partition(p)).scale(c)
-    return out
+    return _expand(coeffs, lambda p: _p_monomial(check_partition(p)))
 
 
 def to_p(f: SymFunc) -> dict[Partition, Scalar]:
-    """Power-sum expansion of f, by lex-triangular elimination.
+    """Power-sum expansion of f, eliminating the lex-greatest h_mu first.
 
     The lex-greatest h-monomial of the product p_mu is h_mu with coefficient
-    prod(mu_i), so eliminating from the top converges.
+    prod(mu_i).
     """
-    out: dict[Partition, Scalar] = {}
-    rest = SymFunc()
-    rest.terms = dict(f.terms)
-    while rest.terms:
-        mu = max(rest.terms)
-        c = rest.terms[mu]
-        mult = 1
-        for part in mu:
-            mult *= part
-        pc = c * Scalar.from_fraction(1, mult)
-        out[mu] = pc
-        rest = rest - _p_monomial(mu).scale(pc)
-    return out
+    return _eliminate(f, _p_monomial, max)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ Scaled by z^n these values are Laurent polynomials, cached per basis braid;
 the trace of x is their pairing with x (HeckeElt.pair), divided by z^n.
 
 The multiplicative evaluation on the annulus ring sends h_k to the trace of
-the k-strand row idempotent; together with the character closure this gives
-the consistency check markov_ev = ev_sym(closure(.)).
+the k-strand row idempotent, taken from its closed form (Aiston & Morton,
+JKTR 7 (1998) 463-487) rather than from the k!-term idempotent; together
+with the character closure this gives the consistency check
+markov_ev = ev_sym(closure(.)).
 
 The user-facing `homfly` rescales by the writhe and normalizes the unknot
 to 1, matching published HOMFLY tables in the (v, z) conventions.
@@ -23,8 +25,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .coeff import IntLaurent, Scalar, delta, v_pow, z
-from .hecke import HeckeElt, h_idem, word_elt
+from .coeff import ONE, IntLaurent, Scalar, delta, s_pow, v_pow, z
+from .hecke import HeckeElt, word_elt
 from .perm import Perm, coset_decompose
 from .symfun import SymFunc
 
@@ -65,11 +67,15 @@ def markov_ev(x: HeckeElt) -> Scalar:
 
 @cache
 def _h_trace(k: int) -> Scalar:
-    return markov_ev(h_idem(k))
+    """markov_ev(h_idem(k)) = prod over i <= k of (v^-1 s^(i-1) - v s^(1-i)) / (s^i - s^-i)."""
+    if k == 0:
+        return ONE
+    factor = (v_pow(-1) * s_pow(k - 1) - v_pow(1) * s_pow(1 - k)) / (s_pow(k) - s_pow(-k))
+    return _h_trace(k - 1) * factor
 
 
 def ev_sym(f: SymFunc) -> Scalar:
-    """Plane evaluation of the annulus ring: h_k -> markov_ev(h_idem(k))."""
+    """Plane evaluation of the annulus ring: h_k -> markov_ev(h_idem(k)), in closed form."""
     out = Scalar.from_int(0)
     for parts, c in f.terms.items():
         val = c

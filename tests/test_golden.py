@@ -38,6 +38,8 @@ GOLDEN = [
      "60c8b5a42785251ff3a304e775bcebb7fe86baee6d18c0bf8bd685318aa52653"),
     (["closure", "--strands", "6", "--word", "1 -2 3 4 -5 1 2 -3 -4 5 1 2"],
      "9282e7e7948c778d1fd462778d053870aeb956ef4e2d10cd5e7982c2a7be3e26"),
+    (["eval", "--elem", "p8"],
+     "b24ce4bf3572e27a3e149e94ef3af190712ffbd7c40f268bccb4fb133feea525"),
 ]
 
 

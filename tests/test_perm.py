@@ -103,7 +103,3 @@ def test_all_perms():
     with pytest.raises(ValueError):
         list(all_perms(9))
 
-
-def test_json():
-    p = Perm((2, 3, 1))
-    assert Perm.from_json(p.to_json()) == p

@@ -197,7 +197,7 @@ def test_closure_schur_omits_zero_coordinates():
 
 def test_cmd_closure_needs_no_schur_elimination(monkeypatch):
     words = {3: [1, 2, 1], 4: [1, -2, 3, 1], 5: [1, -2, 3, -4, 2, 1]}
-    expected = {n: closure(word_elt(n, w)).to_json(basis="schur")
+    expected = {n: symfun.basis_json("schur", to_schur(closure(word_elt(n, w))))
                 for n, w in words.items()}
 
     def forbidden(f):

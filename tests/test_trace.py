@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from heckeskein import trace
 from heckeskein.coeff import ONE, Scalar, delta, quantum_int, s_pow, v_pow, z
 from heckeskein.hecke import HeckeElt, h_idem, word_elt
 from heckeskein.perm import all_perms
@@ -66,6 +67,23 @@ def test_h_trace_closed_form():
             s_pow(k) - s_pow(-k)
         )
         assert markov_ev(h_idem(k)) == expected
+
+
+def test_ev_sym_h_is_trace_of_row_idempotent():
+    for k in range(0, 7):
+        assert ev_sym(complete(k)) == markov_ev(h_idem(k))
+
+
+def test_ev_sym_h8_builds_no_idempotent(monkeypatch):
+    # h_8 has 8! terms; its evaluation comes from the closed form alone
+    def forbidden(x):
+        raise AssertionError("markov_ev called")
+
+    trace._h_trace.cache_clear()
+    monkeypatch.setattr(trace, "markov_ev", forbidden)
+    value = ev_sym(complete(8))
+    assert value == ev_sym(complete(7)) * (
+        v_pow(-1) * s_pow(7) - v_pow(1) * s_pow(-7)) / (s_pow(8) - s_pow(-8))
 
 
 def test_ev_sym_multiplicative():
