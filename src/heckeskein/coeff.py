@@ -484,6 +484,18 @@ def laurent_divexact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
     return IntLaurent(quot)
 
 
+def poly_lcm(a: IntLaurent, b: IntLaurent) -> IntLaurent:
+    """Least common multiple of two nonzero polynomials, up to a unit.
+
+    No gcd is taken when the two are equal or either is 1.
+    """
+    if a == b or b.is_one():
+        return a
+    if a.is_one():
+        return b
+    return a * laurent_divexact(b, poly_gcd(a, b))
+
+
 @lru_cache(maxsize=1 << 16)
 def _gcd_cached(f: IntLaurent, g: IntLaurent) -> IntLaurent:
     return poly_gcd(f, g)

@@ -49,6 +49,7 @@ from .coeff import (
     delta,
     laurent_divexact,
     poly_gcd,
+    poly_lcm,
     s_pow,
     v_pow,
     z,
@@ -250,19 +251,11 @@ def lincomb(n: int, pairs) -> HeckeElt:
             terms.append((x.nums, c.num, x.den * c.den))
     den = _ONE_POLY
     for _, _, d in terms:
-        den = _lcm(den, d)
+        den = poly_lcm(den, d)
     acc: PolyTerms = {}
     for nums, k, d in terms:
         _iadd(acc, k if d == den else k * laurent_divexact(den, d), nums)
     return _normal(n, acc, den)
-
-
-def _lcm(a: IntLaurent, b: IntLaurent) -> IntLaurent:
-    if a == b or b.is_one():
-        return a
-    if a.is_one():
-        return b
-    return a * laurent_divexact(b, poly_gcd(a, b))
 
 
 def _iadd(acc: PolyTerms, k: IntLaurent, nums: PolyTerms) -> None:
@@ -459,7 +452,7 @@ def add_power_sum_T(x: HeckeElt, m: int, a: Scalar, c: Scalar) -> HeckeElt:
     for j in range(1, x.n + 1):
         _iadd(murphy, _ONE_POLY, _rmul_murphy(x.nums, j, m))
     # both terms over x.den L, with L the lcm of a.den and c.den
-    ell = _lcm(a.den, c.den)
+    ell = poly_lcm(a.den, c.den)
     acc: PolyTerms = {}
     _iadd(acc, a.num * laurent_divexact(ell, a.den), x.nums)
     _iadd(acc, c.num * laurent_divexact(ell, c.den), murphy)
@@ -485,7 +478,7 @@ def murphy_series_times(
     """
     den = _ONE_POLY
     for c in f.coeffs:
-        den = _lcm(den, c.den)
+        den = poly_lcm(den, c.den)
     one = identity(n).images
     ell = a.den * b.den
     dens, coeffs = [], []

@@ -136,6 +136,36 @@ def word_to_perm(n: int, word: list[int]) -> Perm:
     return Perm(images)
 
 
+def cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle lengths of the permutation, largest first."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        size, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = images[j] - 1
+            size += 1
+        if size:
+            out.append(size)
+    return tuple(sorted(out, reverse=True))
+
+
+def coxeter_rep(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """One-line images of the product of the blocks' Coxeter elements.
+
+    The blocks are consecutive runs of parts[0], parts[1], ... strands, and
+    the block on strands a..a+m-1 contributes s_{a+m-2} ... s_a, an m-cycle.
+    The product has cycle type parts and length sum(parts) - len(parts), the
+    least in its conjugacy class.
+    """
+    word, a = [], 1
+    for m in parts:
+        word += range(a + m - 2, a - 1, -1)
+        a += m
+    return word_to_perm(a - 1, word).images
+
+
 def all_perms(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic one-line order."""
     if n > MAX_PERM_N:

@@ -17,12 +17,24 @@ suite: the defining braid/quadratic relations hold, and every Murphy braid
 T(j) acts diagonally with eigenvalues s^(2 * content of the cell of j).
 
 A character is the linear functional sending w_pi to the trace of its
-matrix.  Those traces are Laurent polynomials in s, cached per basis braid,
-and the character of x is their pairing with x (HeckeElt.pair).  Closure
-into the annulus ring is the character-weighted sum of Schur functions, so
-the Schur coordinates of a closure are its characters (closure_schur) and
-need no conversion out of the h basis; compatibility with the Markov trace
-is an independent check.
+matrix.  Characters are trace functions, so one minimal-length braid per
+conjugacy class fixes them (Geck & Pfeiffer, Adv. Math. 102 (1993) 79-94):
+the class polynomials f_pi, found by conjugating pi by generators, give
+chi(w_pi) = sum over mu of f_pi[mu](z) chi(w_mu), where w_mu is the product
+of the Coxeter elements of mu's blocks.  Only the p(n) braids w_mu take
+their characters from seminormal matrices.  Those characters, and so the
+value on every basis braid, are Laurent polynomials in s, cached, and the
+character of x is their pairing with x (HeckeElt.pair).
+
+The matrices that remain (of the w_mu and their prefixes, and rep_of's for
+central_scalar) are integer Laurent numerators over one denominator: a
+product of generator numerators along a reduced word, reduced once at the
+end rather than by a gcd per entry product.
+
+Closure into the annulus ring is the character-weighted sum of Schur
+functions, so the Schur coordinates of a closure are its characters
+(closure_schur) and need no conversion out of the h basis; compatibility
+with the Markov trace is an independent check.
 """
 
 from __future__ import annotations
@@ -30,13 +42,18 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from typing import Iterator
 
-from .coeff import ONE, ZERO, IntLaurent, Scalar, add_term, s_pow, z
+from .coeff import ONE, IntLaurent, Scalar, add_term, laurent_divexact, poly_lcm, s_pow, z
 from .hecke import HeckeElt
-from .perm import MAX_PERM_N, right_gen, word_of
+from .perm import MAX_PERM_N, coxeter_rep, cycle_type, left_gen, right_gen, word_of
 from .symfun import Partition, SymFunc, check_partition, from_schur
 
 Tableau = tuple[tuple[int, ...], ...]
 Matrix = list[dict[int, Scalar]]
+NumMatrix = list[dict[int, IntLaurent]]
+
+_ZERO_POLY = IntLaurent()
+_ONE_POLY = IntLaurent.from_int(1)
+_Z = z().num
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -136,61 +153,128 @@ def rho(parts, i: int) -> Matrix:
     return _gen_matrix(lam, i)
 
 
-# -- sparse matrix helpers ----------------------------------------------------
+# -- matrices over one denominator ---------------------------------------------
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    out: Matrix = [dict() for _ in a]
-    for r, row in enumerate(a):
-        target = out[r]
-        for k, c in row.items():
-            for j, d in b[k].items():
-                add_term(target, j, c * d)
-    return out
-
-
-def _mat_identity(dim: int) -> Matrix:
-    return [{k: ONE} for k in range(dim)]
+@lru_cache(maxsize=4096)
+def _gen_nums(lam: Partition, i: int) -> tuple[NumMatrix, IntLaurent]:
+    """rho(lam, i) as integer numerators over the lcm of its denominators."""
+    rows = rho(lam, i)
+    den = _ONE_POLY
+    for row in rows:
+        for c in row.values():
+            den = poly_lcm(den, c.den)
+    nums = [{j: c.num * laurent_divexact(den, c.den) for j, c in row.items()} for row in rows]
+    return nums, den
 
 
 @cache
-def _basis_matrix(lam: Partition, images: tuple[int, ...]) -> Matrix:
-    """Matrix of the permutation braid w_pi, built along reduced words."""
+def _basis_matrix(lam: Partition, images: tuple[int, ...]) -> tuple[NumMatrix, IntLaurent]:
+    """Matrix of the permutation braid w_pi as numerators over one denominator.
+
+    Built along the reduced word, w_pi = w_{pi s_i} sigma_i for its last
+    letter i: numerators times the generator's numerators, denominators
+    multiplied, no gcd.
+    """
     word = word_of(images)
     if not word:
-        return _mat_identity(len(std_tableaux(lam)))
-    # w_pi = w_{pi s_i} sigma_i for the last letter i of pi's reduced word
+        return [{k: _ONE_POLY} for k in range(len(std_tableaux(lam)))], _ONE_POLY
     i = word[-1]
-    return _mat_mul(_basis_matrix(lam, right_gen(images, i)), rho(lam, i))
+    rows, den = _basis_matrix(lam, right_gen(images, i))
+    gen, gen_den = _gen_nums(lam, i)
+    out: NumMatrix = [dict() for _ in rows]
+    for target, row in zip(out, rows):
+        for k, c in row.items():
+            for j, d in gen[k].items():
+                add_term(target, j, c * d)
+    return out, den * gen_den
 
 
 def rep_of(x: HeckeElt, parts) -> Matrix:
-    """Matrix of x on the shape lambda (|lambda| = strand count)."""
+    """Matrix of x on the shape lambda (|lambda| = strand count).
+
+    The terms are summed as numerators over one denominator, the product of
+    two lcms: of the coefficients' denominators and of the matrices', which
+    lie in Z[s].  Each entry is reduced once by the matrices' lcm, then
+    divided by the coefficients', so no gcd meets both at once.
+    """
     lam = check_partition(parts)
     if sum(lam) != x.n:
         raise ValueError(f"|lambda| = {sum(lam)} but x lives in H_{x.n}")
-    dim = len(std_tableaux(lam))
-    out: Matrix = [dict() for _ in range(dim)]
-    for p, c in x.terms.items():
-        m = _basis_matrix(lam, p.images)
-        for r in range(dim):
-            target = out[r]
-            for j, d in m[r].items():
-                add_term(target, j, c * d)
-    return out
+    terms = [(c, *_basis_matrix(lam, p.images)) for p, c in x.terms.items()]
+    c_den = m_den = _ONE_POLY
+    for c, _, d in terms:
+        c_den = poly_lcm(c_den, c.den)
+        m_den = poly_lcm(m_den, d)
+    acc: NumMatrix = [dict() for _ in range(len(std_tableaux(lam)))]
+    for c, rows, d in terms:
+        k = c.num * laurent_divexact(c_den, c.den) * laurent_divexact(m_den, d)
+        for target, row in zip(acc, rows):
+            for j, e in row.items():
+                add_term(target, j, e * k)
+    inv = Scalar(_ONE_POLY, c_den)
+    return [{j: Scalar(e, m_den) * inv for j, e in row.items()} for row in acc]
+
+
+# -- characters from class polynomials ----------------------------------------
+
+
+@cache
+def _class_poly(images: tuple[int, ...]) -> dict[Partition, IntLaurent]:
+    """Class polynomial f of w_pi: chi(w_pi) = sum of f[mu] chi(w_mu) for each character.
+
+    The search walks the conjugates s_i p s_i of pi's length.  Those share
+    every character.  Once some q = s_i p s_i is two shorter, w_p =
+    sigma_i w_q sigma_i, and cyclicity with sigma_i^2 = 1 + z sigma_i gives
+    f = f_q + z f_{q s_i}.  If none is, pi has minimal length in its class
+    (Geck & Pfeiffer), which has cycle type mu, and f = {mu: 1}.
+    """
+    n = len(images)
+    target = len(word_of(images))
+    seen, queue = {images}, [images]
+    for p in queue:
+        for i in range(1, n):
+            q = left_gen(right_gen(p, i), i)
+            length = len(word_of(q))
+            if length < target:
+                out = dict(_class_poly(q))
+                for mu, f in _class_poly(right_gen(q, i)).items():
+                    add_term(out, mu, f * _Z)
+                return out
+            if length == target and q not in seen:
+                seen.add(q)
+                queue.append(q)
+    mu = cycle_type(images)
+    if target != n - len(mu):
+        raise ArithmeticError(
+            f"w{images} has no shorter conjugate, but its length {target} "
+            f"is not minimal for cycle type {mu}"
+        )
+    return {mu: _ONE_POLY}
+
+
+@cache
+def _class_character(lam: Partition, mu: Partition) -> IntLaurent:
+    """Character of the minimal braid w_mu on shape lambda, a polynomial in s."""
+    rows, den = _basis_matrix(lam, coxeter_rep(mu))
+    trace = _ZERO_POLY
+    for r, row in enumerate(rows):
+        trace = trace + row.get(r, _ZERO_POLY)
+    value = Scalar(trace, den)
+    if not value.den.is_one():
+        raise ArithmeticError(
+            f"character of w_{mu} on {lam} is not a polynomial: {value!r}"
+        )
+    return value.num
 
 
 @cache
 def _basis_character(lam: Partition, images: tuple[int, ...]) -> IntLaurent:
-    """Trace of the permutation braid w_pi on shape lambda, a polynomial."""
-    out = ZERO
-    for r, row in enumerate(_basis_matrix(lam, images)):
-        out = out + row.get(r, ZERO)
-    if not out.den.is_one():
-        raise ArithmeticError(
-            f"character of w{images} on {lam} is not a polynomial: {out!r}"
-        )
-    return out.num
+    """Character of the permutation braid w_pi on shape lambda."""
+    out = _ZERO_POLY
+    for mu, f in _class_poly(images).items():
+        out = out + f * _class_character(lam, mu)
+    return out
 
 
 def character(x: HeckeElt, parts) -> Scalar:

@@ -9,6 +9,11 @@ genuine cross-check rather than a tautology.
 The Markov trace oracle is the slow route to the trace: one Scalar per
 basis braid and one Scalar sum per term, never HeckeElt.pair.
 
+The seminormal character oracle is the slow route to a character: the
+Scalar matrix of every basis braid, a product of seminormal generator
+matrices along its reduced word, and the Scalar sum of its diagonal, never
+a class polynomial.
+
 The dense psi and Murphy-series oracles are the slow route through dense
 HeckeElt products and Hecke-valued series (geometric, scale_t, inverse),
 with T(j) built from its own braid word, never through the library's
@@ -19,9 +24,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 
-from heckeskein.coeff import Scalar, delta, s_pow, v_pow
+from heckeskein.coeff import ONE, Scalar, add_term, delta, s_pow, v_pow
 from heckeskein.hecke import HeckeElt, word_elt
-from heckeskein.perm import Perm, coset_decompose, length
+from heckeskein.perm import Perm, coset_decompose, length, right_gen, word_of
+from heckeskein.repn import rho, std_tableaux
 from heckeskein.series import TruncSeries, geometric
 from heckeskein.symfun import power_sum, to_p
 from heckeskein.trace import ev_sym
@@ -129,6 +135,39 @@ def basis_trace(images: tuple[int, ...]) -> Scalar:
         return delta() * basis_trace(u.images)
     tail = HeckeElt.basis(u).rmul_word(range(n - 2, k - 1, -1))
     return v_pow(-1) * markov_trace(tail)
+
+
+def mat_mul(a: list[dict], b: list[dict]) -> list[dict]:
+    """Product of two sparse square matrices, given as rows {column: entry}."""
+    out = [dict() for _ in a]
+    for r, row in enumerate(a):
+        target = out[r]
+        for k, c in row.items():
+            for j, d in b[k].items():
+                add_term(target, j, c * d)
+    return out
+
+
+def mat_identity(dim: int) -> list[dict]:
+    return [{k: ONE} for k in range(dim)]
+
+
+@cache
+def seminormal_matrix(lam: tuple[int, ...], images: tuple[int, ...]) -> list[dict]:
+    """Scalar matrix of w_pi: w_{pi s_i} times rho(sigma_i) for the last letter i."""
+    word = word_of(images)
+    if not word:
+        return mat_identity(len(std_tableaux(lam)))
+    i = word[-1]
+    return mat_mul(seminormal_matrix(lam, right_gen(images, i)), rho(lam, i))
+
+
+def seminormal_character(lam: tuple[int, ...], images: tuple[int, ...]) -> Scalar:
+    """Trace of the Scalar matrix of w_pi on the shape lambda."""
+    out = Scalar.from_int(0)
+    for r, row in enumerate(seminormal_matrix(lam, images)):
+        out = out + row.get(r, Scalar.from_int(0))
+    return out
 
 
 def murphy_T_dense(j: int, n: int) -> HeckeElt:

@@ -40,6 +40,12 @@ GOLDEN = [
      "9282e7e7948c778d1fd462778d053870aeb956ef4e2d10cd5e7982c2a7be3e26"),
     (["eval", "--elem", "p8"],
      "b24ce4bf3572e27a3e149e94ef3af190712ffbd7c40f268bccb4fb133feea525"),
+    # every character of H_6, and the closure of the full twist on 6 strands,
+    # whose expansion meets all 720 basis braids
+    (["characters", "--n", "6"],
+     "e1f651837426d06b2e25e68d6a593f3989b9975e33fbc1e92dca6ef4be31b8f9"),
+    (["closure", "--strands", "6", "--word", " ".join(["1 2 3 4 5"] * 6)],
+     "004d78b8e4ed407c64e2f83ed54112e5ec09236904b1cf62515e3bde790d3d5d"),
 ]
 
 

@@ -14,7 +14,13 @@ import pytest
 from heckeskein.coeff import ONE, IntLaurent, Scalar, delta, quantum_int, z
 from heckeskein.hecke import HeckeElt
 from heckeskein.perm import all_perms
-from heckeskein.repn import _basis_character, character, partitions_of, rep_of
+from heckeskein.repn import (
+    _basis_character,
+    _class_character,
+    character,
+    partitions_of,
+    rep_of,
+)
 from heckeskein.trace import _trace_num, markov_ev
 from oracles import markov_trace
 
@@ -80,7 +86,7 @@ def test_markov_ev_matches_the_term_by_term_oracle():
 
 
 def test_basis_values_are_polynomials():
-    # _basis_character and _trace_num raise ArithmeticError on a value that
+    # _class_character and _trace_num raise ArithmeticError on a value that
     # is not a Laurent polynomial; walk every basis braid they are used on.
     for n in range(1, 6):
         for lam in partitions_of(n):
@@ -94,9 +100,11 @@ def test_basis_values_are_polynomials():
 def test_a_value_that_is_not_a_polynomial_raises(monkeypatch):
     from heckeskein import repn
 
-    monkeypatch.setattr(repn, "_basis_matrix", lambda lam, images: [{0: Scalar.from_fraction(1, 2)}])
+    # the trace of the minimal braid's matrix, 1 over the denominator 2
+    half = ([{0: IntLaurent.from_int(1)}], IntLaurent.from_int(2))
+    monkeypatch.setattr(repn, "_basis_matrix", lambda lam, images: half)
     with pytest.raises(ArithmeticError):
-        _basis_character.__wrapped__((1,), (1,))
+        _class_character.__wrapped__((1,), (1,))
     monkeypatch.setattr(HeckeElt, "pair", lambda self, value: Scalar.from_fraction(1, 2))
     with pytest.raises(ArithmeticError):
         _trace_num.__wrapped__((2, 1))

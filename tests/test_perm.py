@@ -1,9 +1,14 @@
+import math
+from collections import Counter
+
 import pytest
 
 from heckeskein.perm import (
     Perm,
     all_perms,
     coset_decompose,
+    coxeter_rep,
+    cycle_type,
     identity,
     length,
     reduced_word,
@@ -103,3 +108,44 @@ def test_all_perms():
     with pytest.raises(ValueError):
         list(all_perms(9))
 
+
+
+def test_cycle_type_examples():
+    assert cycle_type(()) == ()
+    assert cycle_type((1, 2, 3)) == (1, 1, 1)
+    assert cycle_type((2, 3, 1)) == (3,)
+    assert cycle_type((2, 1, 4, 5, 3)) == (3, 2)
+    assert cycle_type((1, 4, 2, 3)) == (3, 1)
+
+
+def test_cycle_type_class_sizes():
+    # the class of cycle type mu has n! / z_mu elements,
+    # z_mu = prod over part sizes i of i^{m_i} m_i!
+    for n in range(1, 7):
+        counts = Counter(cycle_type(p.images) for p in all_perms(n))
+        for mu, size in counts.items():
+            z_mu = 1
+            for i, m in Counter(mu).items():
+                z_mu *= i ** m * math.factorial(m)
+            assert size == math.factorial(n) // z_mu
+        assert sum(counts.values()) == math.factorial(n)
+
+
+def test_coxeter_rep_examples():
+    assert coxeter_rep(()) == ()
+    assert coxeter_rep((1,)) == (1,)
+    assert coxeter_rep((3,)) == word_to_perm(3, [2, 1]).images == (3, 1, 2)
+    assert coxeter_rep((3, 2)) == (3, 1, 2, 5, 4)
+    assert coxeter_rep((2, 1, 1)) == (2, 1, 3, 4)
+
+
+def test_coxeter_rep_is_minimal_in_its_class():
+    for n in range(0, 7):
+        shortest = {}
+        for p in all_perms(n):
+            mu = cycle_type(p.images)
+            shortest[mu] = min(shortest.get(mu, length(p)), length(p))
+        for mu, ell in shortest.items():
+            rep = coxeter_rep(mu)
+            assert cycle_type(rep) == mu
+            assert length(Perm(rep)) == ell == n - len(mu)

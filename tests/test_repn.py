@@ -4,7 +4,7 @@ import random
 import pytest
 
 from heckeskein import cli, symfun
-from heckeskein.coeff import ONE, Scalar, delta, quantum_int, s_pow, v_pow, z
+from heckeskein.coeff import ONE, IntLaurent, Scalar, delta, quantum_int, s_pow, v_pow, z
 from heckeskein.hecke import (
     HeckeElt,
     h_idem,
@@ -13,7 +13,7 @@ from heckeskein.hecke import (
     t_circle,
     word_elt,
 )
-from heckeskein.perm import all_perms
+from heckeskein.perm import Perm, all_perms, coxeter_rep, right_gen
 from heckeskein.repn import (
     central_scalar,
     character,
@@ -25,8 +25,9 @@ from heckeskein.repn import (
     rho,
     std_tableaux,
 )
-from heckeskein.repn import _mat_identity, _mat_mul
-from heckeskein.symfun import SymFunc, complete, schur, to_schur
+from heckeskein.repn import _class_poly
+from heckeskein.symfun import SymFunc, closed_braid_A, complete, schur, to_schur
+from oracles import mat_identity, mat_mul, seminormal_character
 
 
 def rand_elt(rng, n, terms=3):
@@ -67,7 +68,7 @@ def test_rho_relations():
             dim = len(std_tableaux(lam))
             for i in range(n - 1):
                 g = gens[i]
-                sq = _mat_mul(g, g)
+                sq = mat_mul(g, g)
                 expected = [
                     {k: v * zz for k, v in row.items()} for row in g
                 ]
@@ -79,12 +80,12 @@ def test_rho_relations():
                         expected[r][r] = val
                 assert sq == expected
             for i in range(n - 2):
-                lhs = _mat_mul(_mat_mul(gens[i], gens[i + 1]), gens[i])
-                rhs = _mat_mul(_mat_mul(gens[i + 1], gens[i]), gens[i + 1])
+                lhs = mat_mul(mat_mul(gens[i], gens[i + 1]), gens[i])
+                rhs = mat_mul(mat_mul(gens[i + 1], gens[i]), gens[i + 1])
                 assert lhs == rhs
             for i in range(n - 1):
                 for j in range(i + 2, n - 1):
-                    assert _mat_mul(gens[i], gens[j]) == _mat_mul(gens[j], gens[i])
+                    assert mat_mul(gens[i], gens[j]) == mat_mul(gens[j], gens[i])
 
 
 def test_rho_bad_index():
@@ -95,7 +96,7 @@ def test_rho_bad_index():
 def test_rep_of_identity():
     for n in range(1, 5):
         for lam in partitions_of(n):
-            assert rep_of(HeckeElt.identity(n), lam) == _mat_identity(
+            assert rep_of(HeckeElt.identity(n), lam) == mat_identity(
                 len(std_tableaux(lam))
             )
 
@@ -129,6 +130,50 @@ def test_characters():
         for lam in partitions_of(n):
             f_lam = len(std_tableaux(lam))
             assert character(HeckeElt.identity(n), lam) == Scalar.from_int(f_lam)
+
+
+def test_characters_match_the_seminormal_oracle():
+    # every basis braid for |lambda| <= 5, and a seeded sample at n = 6
+    pairs = [(lam, p.images) for n in range(6) for lam in partitions_of(n)
+             for p in all_perms(n)]
+    rng = random.Random(606)
+    shapes, perms = list(partitions_of(6)), list(all_perms(6))
+    pairs += [(rng.choice(shapes), rng.choice(perms).images) for _ in range(40)]
+    for lam, images in pairs:
+        assert character(HeckeElt.basis(Perm(images)), lam) == seminormal_character(
+            lam, images
+        )
+
+
+def test_closure_of_a_minimal_braid_is_the_product_of_A():
+    # w_mu is the product of its blocks' Coxeter elements sigma_{m-1}...sigma_1
+    for m in range(1, 7):
+        for mu in partitions_of(m):
+            expected = SymFunc.one()
+            for part in mu:
+                expected = expected * closed_braid_A(part)
+            assert closure(HeckeElt.basis(Perm(coxeter_rep(mu)))) == expected
+
+
+def test_class_poly_of_a_minimal_braid_is_its_class():
+    for n in range(7):
+        for mu in partitions_of(n):
+            assert _class_poly(coxeter_rep(mu)) == {mu: IntLaurent.from_int(1)}
+    # w_321 = sigma_1 sigma_2 sigma_1 = sigma_1 w_{s_2} sigma_1, so its class
+    # polynomial is f_{s_2} + z f_{s_2 s_1}: a transposition plus z a 3-cycle
+    zz = z().num
+    assert _class_poly((3, 2, 1)) == {(2, 1): IntLaurent.from_int(1), (3,): zz}
+
+
+def test_class_poly_search_that_stops_short_raises(monkeypatch):
+    from heckeskein import repn
+
+    # with s_i p s_i replaced by p itself, the search never finds a shorter
+    # conjugate; a minimal braid passes and a longer one is caught
+    monkeypatch.setattr(repn, "left_gen", lambda images, i: right_gen(images, i))
+    assert repn._class_poly.__wrapped__((2, 1, 3)) == {(2, 1): IntLaurent.from_int(1)}
+    with pytest.raises(ArithmeticError):
+        repn._class_poly.__wrapped__((3, 2, 1))
 
 
 def test_character_trace_property():
