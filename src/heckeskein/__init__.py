@@ -41,7 +41,6 @@ from .symfun import (
     closed_braid_A,
     complete,
     elementary,
-    from_p,
     from_schur,
     power_sum,
     schur,
@@ -64,7 +63,7 @@ __all__ = [
     "partitions_of",
     "rep_of", "rho", "std_tableaux",
     "TruncSeries", "geometric",
-    "SymFunc", "closed_braid_A", "complete", "elementary", "from_p",
+    "SymFunc", "closed_braid_A", "complete", "elementary",
     "from_schur", "power_sum", "schur", "to_p", "to_schur",
     "ev_sym", "homfly", "markov_ev",
 ]

@@ -15,6 +15,10 @@ Canonical form of a quotient num/den:
 * the lexicographically greatest term of den (by (e_v, e_s)) has positive
   coefficient.
 
+This module also keeps the package's one memo policy: every table of
+values the package caches (per basis braid, per partition, or the gcd of a
+pair of polynomials) is a `memo`, an LRU table of MEMO_SIZE entries.
+
 >>> z() * delta() == v_pow(-1) - v_pow(1)
 True
 >>> quantum_int(2)
@@ -26,10 +30,14 @@ True
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 ExpPair = tuple[int, int]  # (e_v, e_s)
+
+# The largest key space is one entry per pair (partition of k, basis braid
+# of H_k) for k <= 8, as in repn._basis_character: sum p(k) k! = 971544.
+MEMO_SIZE = 1 << 20
+memo = lru_cache(maxsize=MEMO_SIZE)
 
 
 class IntLaurent:
@@ -186,12 +194,6 @@ class IntLaurent:
         res.terms = {(-a, -b): c for (a, b), c in self.terms.items()}
         res._key = None
         return res
-
-    def eval_fraction(self, v0: Fraction, s0: Fraction) -> Fraction:
-        total = Fraction(0)
-        for (a, b), c in self.terms.items():
-            total += c * v0 ** a * s0 ** b
-        return total
 
     # -- display ---------------------------------------------------------------
 
@@ -496,7 +498,16 @@ def poly_lcm(a: IntLaurent, b: IntLaurent) -> IntLaurent:
     return a * laurent_divexact(b, poly_gcd(a, b))
 
 
-@lru_cache(maxsize=1 << 16)
+def over_lcm(pairs) -> tuple[list[IntLaurent], IntLaurent]:
+    """Fractions num/den over D, the lcm of their denominators: ([num D/den], D)."""
+    pairs = list(pairs)
+    den = _L_ONE
+    for _, d in pairs:
+        den = poly_lcm(den, d)
+    return [k if d == den else k * laurent_divexact(den, d) for k, d in pairs], den
+
+
+@memo
 def _gcd_cached(f: IntLaurent, g: IntLaurent) -> IntLaurent:
     return poly_gcd(f, g)
 
@@ -668,17 +679,6 @@ class Scalar:
     def mirror(self) -> Scalar:
         """Substitute v -> v^{-1}, s -> s^{-1}; an involution."""
         return Scalar(self.num.mirror(), self.den.mirror())
-
-    def eval_rational(self, v0, s0) -> Fraction:
-        """Exact value at rational (v0, s0); raises on a pole."""
-        v0 = Fraction(v0)
-        s0 = Fraction(s0)
-        if v0 == 0 or s0 == 0:
-            raise ZeroDivisionError("v and s must be nonzero")
-        dval = self.den.eval_fraction(v0, s0)
-        if dval == 0:
-            raise ZeroDivisionError("pole at evaluation point")
-        return self.num.eval_fraction(v0, s0) / dval
 
     # -- serialization -----------------------------------------------------------
 

@@ -36,7 +36,6 @@ normalised once.
 
 from __future__ import annotations
 
-from functools import cache
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -48,8 +47,9 @@ from .coeff import (
     add_term,
     delta,
     laurent_divexact,
+    memo,
+    over_lcm,
     poly_gcd,
-    poly_lcm,
     s_pow,
     v_pow,
     z,
@@ -243,18 +243,17 @@ def lincomb(n: int, pairs) -> HeckeElt:
     c.num (D / (x.den c.den)) x.nums; they are accumulated in place and the
     sum is normalised once.
     """
-    terms = []
+    elts, coeffs = [], []
     for x, c in pairs:
         if x.n != n:
             raise ValueError(f"strand mismatch: {x.n} vs {n}")
         if x.nums and not c.is_zero():
-            terms.append((x.nums, c.num, x.den * c.den))
-    den = _ONE_POLY
-    for _, _, d in terms:
-        den = poly_lcm(den, d)
+            elts.append(x.nums)
+            coeffs.append((c.num, x.den * c.den))
+    ks, den = over_lcm(coeffs)
     acc: PolyTerms = {}
-    for nums, k, d in terms:
-        _iadd(acc, k if d == den else k * laurent_divexact(den, d), nums)
+    for nums, k in zip(elts, ks):
+        _iadd(acc, k, nums)
     return _normal(n, acc, den)
 
 
@@ -331,7 +330,7 @@ def _rmul_murphy(terms: PolyTerms, j: int, m: int) -> PolyTerms:
     return terms
 
 
-@cache
+@memo
 def _mirror_basis(images: Images) -> PolyTerms:
     """Expansion of the crossing-switched braid of w_pi in the braid basis.
 
@@ -452,10 +451,10 @@ def add_power_sum_T(x: HeckeElt, m: int, a: Scalar, c: Scalar) -> HeckeElt:
     for j in range(1, x.n + 1):
         _iadd(murphy, _ONE_POLY, _rmul_murphy(x.nums, j, m))
     # both terms over x.den L, with L the lcm of a.den and c.den
-    ell = poly_lcm(a.den, c.den)
+    (ka, kc), ell = over_lcm([(a.num, a.den), (c.num, c.den)])
     acc: PolyTerms = {}
-    _iadd(acc, a.num * laurent_divexact(ell, a.den), x.nums)
-    _iadd(acc, c.num * laurent_divexact(ell, c.den), murphy)
+    _iadd(acc, ka, x.nums)
+    _iadd(acc, kc, murphy)
     return _normal(x.n, acc, x.den * ell)
 
 
@@ -476,16 +475,14 @@ def murphy_series_times(
     coefficient of nonzero degree is a symmetric polynomial in the commuting
     T(j), and is checked to be central.
     """
-    den = _ONE_POLY
-    for c in f.coeffs:
-        den = poly_lcm(den, c.den)
+    nums, den = over_lcm((c.num, c.den) for c in f.coeffs)
     one = identity(n).images
     ell = a.den * b.den
-    dens, coeffs = [], []
-    for c in f.coeffs:
-        dens.append(den)
-        coeffs.append({one: c.num * laurent_divexact(den, c.den)} if c else {})
-        den = den * ell
+    dens, coeffs, power = [], [], _ONE_POLY
+    for k in nums:  # f_k over D L^k
+        dens.append(den * power)
+        coeffs.append({} if k.is_zero() else {one: k * power})
+        power = power * ell
     # over D L^k, b d_{k-1} T(j) has the numerator b.num a.den T(j) N_{k-1}
     kb, ka = b.num * a.den, -(a.num * b.den)
     for j in range(1, n + 1):

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
+
+from .coeff import memo
 
 MAX_PERM_N = 8
 
@@ -51,24 +52,14 @@ class Perm:
         return f"Perm({self.images!r})"
 
 
-@lru_cache(maxsize=64)
+@memo
 def identity(n: int) -> Perm:
     return Perm(tuple(range(1, n + 1)))
 
 
 def length(a: Perm) -> int:
     """Coxeter length = inversion count = writhe of the permutation braid."""
-    return _length(a.images)
-
-
-@lru_cache(maxsize=65536)
-def _length(images: tuple[int, ...]) -> int:
-    count = 0
-    for i, vi in enumerate(images):
-        for vj in images[i + 1:]:
-            if vi > vj:
-                count += 1
-    return count
+    return len(word_of(a.images))
 
 
 def right_gen(images: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -120,7 +111,7 @@ def reduced_word(a: Perm) -> list[int]:
     return head + list(range(a.n - 1, k - 1, -1))
 
 
-@lru_cache(maxsize=65536)
+@memo
 def word_of(images: tuple[int, ...]) -> tuple[int, ...]:
     """The canonical reduced word of the permutation with these images."""
     return tuple(reduced_word(Perm(images)))

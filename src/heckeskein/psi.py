@@ -25,9 +25,8 @@ the scalar series psi_0(H(t)) by one factor per j in the same way.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
-from .coeff import Scalar, s_pow, v_pow
+from .coeff import Scalar, memo, s_pow, v_pow
 from .hecke import HeckeElt, add_power_sum_T, lincomb, murphy_series_times
 from .repn import central_scalar, content_of, std_tableaux
 from .series import TruncSeries
@@ -43,7 +42,7 @@ from .symfun import (
 from .trace import ev_sym
 
 
-@lru_cache(maxsize=256)
+@memo
 def _psi_p(n: int, parts: tuple[int, ...]) -> HeckeElt:
     """psi_n(p_parts), one Murphy power-sum step from its longest prefix.
 

@@ -39,10 +39,9 @@ with the Markov trace is an independent check.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
 from typing import Iterator
 
-from .coeff import ONE, IntLaurent, Scalar, add_term, laurent_divexact, poly_lcm, s_pow, z
+from .coeff import ONE, IntLaurent, Scalar, add_term, memo, over_lcm, s_pow, z
 from .hecke import HeckeElt
 from .perm import MAX_PERM_N, coxeter_rep, cycle_type, left_gen, right_gen, word_of
 from .symfun import Partition, SymFunc, check_partition, from_schur
@@ -72,7 +71,7 @@ def _partitions(n: int, cap: int) -> Iterator[Partition]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=4096)
+@memo
 def std_tableaux(parts: Partition) -> tuple[Tableau, ...]:
     """All standard tableaux of the given shape, in a fixed order."""
     lam = check_partition(parts)
@@ -109,7 +108,7 @@ def content_of(t: Tableau, entry: int) -> int:
     return c - r
 
 
-@lru_cache(maxsize=4096)
+@memo
 def _gen_matrix(parts: Partition, i: int) -> Matrix:
     tabs = std_tableaux(parts)
     index = {t: k for k, t in enumerate(tabs)}
@@ -156,19 +155,16 @@ def rho(parts, i: int) -> Matrix:
 # -- matrices over one denominator ---------------------------------------------
 
 
-@lru_cache(maxsize=4096)
+@memo
 def _gen_nums(lam: Partition, i: int) -> tuple[NumMatrix, IntLaurent]:
     """rho(lam, i) as integer numerators over the lcm of its denominators."""
     rows = rho(lam, i)
-    den = _ONE_POLY
-    for row in rows:
-        for c in row.values():
-            den = poly_lcm(den, c.den)
-    nums = [{j: c.num * laurent_divexact(den, c.den) for j, c in row.items()} for row in rows]
-    return nums, den
+    flat, den = over_lcm((c.num, c.den) for row in rows for c in row.values())
+    entries = iter(flat)
+    return [{j: next(entries) for j in row} for row in rows], den
 
 
-@cache
+@memo
 def _basis_matrix(lam: Partition, images: tuple[int, ...]) -> tuple[NumMatrix, IntLaurent]:
     """Matrix of the permutation braid w_pi as numerators over one denominator.
 
@@ -202,13 +198,11 @@ def rep_of(x: HeckeElt, parts) -> Matrix:
     if sum(lam) != x.n:
         raise ValueError(f"|lambda| = {sum(lam)} but x lives in H_{x.n}")
     terms = [(c, *_basis_matrix(lam, p.images)) for p, c in x.terms.items()]
-    c_den = m_den = _ONE_POLY
-    for c, _, d in terms:
-        c_den = poly_lcm(c_den, c.den)
-        m_den = poly_lcm(m_den, d)
+    c_nums, c_den = over_lcm((c.num, c.den) for c, _, _ in terms)
+    m_nums, m_den = over_lcm((_ONE_POLY, d) for _, _, d in terms)
     acc: NumMatrix = [dict() for _ in range(len(std_tableaux(lam)))]
-    for c, rows, d in terms:
-        k = c.num * laurent_divexact(c_den, c.den) * laurent_divexact(m_den, d)
+    for (_, rows, _), kc, km in zip(terms, c_nums, m_nums):
+        k = kc * km
         for target, row in zip(acc, rows):
             for j, e in row.items():
                 add_term(target, j, e * k)
@@ -219,7 +213,7 @@ def rep_of(x: HeckeElt, parts) -> Matrix:
 # -- characters from class polynomials ----------------------------------------
 
 
-@cache
+@memo
 def _class_poly(images: tuple[int, ...]) -> dict[Partition, IntLaurent]:
     """Class polynomial f of w_pi: chi(w_pi) = sum of f[mu] chi(w_mu) for each character.
 
@@ -253,7 +247,7 @@ def _class_poly(images: tuple[int, ...]) -> dict[Partition, IntLaurent]:
     return {mu: _ONE_POLY}
 
 
-@cache
+@memo
 def _class_character(lam: Partition, mu: Partition) -> IntLaurent:
     """Character of the minimal braid w_mu on shape lambda, a polynomial in s."""
     rows, den = _basis_matrix(lam, coxeter_rep(mu))
@@ -268,7 +262,7 @@ def _class_character(lam: Partition, mu: Partition) -> IntLaurent:
     return value.num
 
 
-@cache
+@memo
 def _basis_character(lam: Partition, images: tuple[int, ...]) -> IntLaurent:
     """Character of the permutation braid w_pi on shape lambda."""
     out = _ZERO_POLY

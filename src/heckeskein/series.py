@@ -5,7 +5,7 @@ functions of the annulus, and central elements of a Hecke algebra.  A
 coefficient object only needs `+`, `-`, `*` against its own kind, a
 `scale(Scalar)` action, and `zero_like()` / `one_like()` factories; all of
 the supported algebras are defined over the fraction field, so dividing a
-coefficient by a positive integer (needed by log/exp) is `scale(1/m)`.
+coefficient by a positive integer (needed by log) is `scale(1/m)`.
 
 All arithmetic is exact modulo t^(order+1); binary operations truncate to
 the smaller order.
@@ -54,9 +54,6 @@ class TruncSeries:
 
     def _one(self):
         return self.coeffs[0].one_like()
-
-    def truncate(self, order: int) -> TruncSeries:
-        return TruncSeries(self.coeffs, order)
 
     @staticmethod
     def constant(c, order: int) -> TruncSeries:
@@ -121,7 +118,7 @@ class TruncSeries:
             out.append(-(inv0 * acc))
         return TruncSeries(out)
 
-    # -- log / exp ------------------------------------------------------------------
+    # -- log ------------------------------------------------------------------
 
     def log(self) -> TruncSeries:
         """log of a series with constant term 1."""
@@ -135,21 +132,9 @@ class TruncSeries:
         sign = 1
         for m in range(1, n + 1):
             power = power * u
-            term = _scale_all(power, Scalar.from_fraction(sign, m))
-            out = out + term
+            c = Scalar.from_fraction(sign, m)
+            out = out + TruncSeries([x.scale(c) for x in power.coeffs])
             sign = -sign
-        return out
-
-    def exp(self) -> TruncSeries:
-        """exp of a series with constant term 0."""
-        if self.coeffs[0] != self._zero():
-            raise ValueError("exp needs constant term 0")
-        n = self.order
-        out = TruncSeries.constant(self._one(), n)
-        term = TruncSeries.constant(self._one(), n)
-        for m in range(1, n + 1):
-            term = _scale_all(term * self, Scalar.from_fraction(1, m))
-            out = out + term
         return out
 
     # -- substitution t -> c t ---------------------------------------------------------
@@ -165,10 +150,6 @@ class TruncSeries:
                 out.append(coef.scale(power))
                 power = power * c
         return TruncSeries(out)
-
-
-def _scale_all(f: TruncSeries, c: Scalar) -> TruncSeries:
-    return TruncSeries([x.scale(c) for x in f.coeffs])
 
 
 def geometric(c, order: int) -> TruncSeries:

@@ -14,10 +14,9 @@ identity A(t) = H(st)E(-s^{-1}t).
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Callable, Mapping
 
-from .coeff import Scalar, add_term, s_pow, z
+from .coeff import Scalar, add_term, memo, s_pow, z
 from .series import TruncSeries
 
 Partition = tuple[int, ...]
@@ -153,15 +152,6 @@ def complete(k: int) -> SymFunc:
 # ---------------------------------------------------------------------------
 
 
-def _expand(rows: Mapping[Partition, Scalar], basis: Callable) -> SymFunc:
-    """sum of rows[lambda] basis(lambda), accumulated in one pass in the h basis."""
-    out = SymFunc()
-    for lam, c in rows.items():
-        for key, k in basis(lam).terms.items():
-            add_term(out.terms, key, k * c)
-    return out
-
-
 def _eliminate(f: SymFunc, basis: Callable, pivot: Callable) -> dict[Partition, Scalar]:
     """The coordinates of f in a triangular basis, by elimination in place.
 
@@ -181,7 +171,7 @@ def _eliminate(f: SymFunc, basis: Callable, pivot: Callable) -> dict[Partition, 
     return out
 
 
-@lru_cache(maxsize=4096)
+@memo
 def _schur_terms(parts: Partition) -> tuple[tuple[Partition, int], ...]:
     """Jacobi-Trudi: det(h_{lambda_i - i + j}) expanded by Leibniz."""
     ell = len(parts)
@@ -233,8 +223,12 @@ def schur(parts) -> SymFunc:
 
 
 def from_schur(rows: Mapping[Partition, Scalar]) -> SymFunc:
-    """sum of rows[lambda] s_lambda, in the h basis."""
-    return _expand(rows, schur)
+    """sum of rows[lambda] s_lambda, accumulated in one pass in the h basis."""
+    out = SymFunc()
+    for lam, c in rows.items():
+        for key, k in schur(lam).terms.items():
+            add_term(out.terms, key, k * c)
+    return out
 
 
 def to_schur(f: SymFunc) -> dict[Partition, Scalar]:
@@ -260,7 +254,7 @@ def elementary_series(order: int) -> TruncSeries:
     return TruncSeries([elementary(k) for k in range(order + 1)])
 
 
-@lru_cache(maxsize=256)
+@memo
 def power_sum(m: int) -> SymFunc:
     """P_m, read off as m times the t^m coefficient of log H(t)."""
     if m < 1:
@@ -269,7 +263,7 @@ def power_sum(m: int) -> SymFunc:
     return logh.coeffs[m].scale(Scalar.from_int(m))
 
 
-@lru_cache(maxsize=256)
+@memo
 def elementary(k: int) -> SymFunc:
     """e_k, from the recursion sum_{i+j=k} (-1)^i e_i h_j = 0."""
     if k < 0:
@@ -283,17 +277,12 @@ def elementary(k: int) -> SymFunc:
     return acc.scale(Scalar.from_int((-1) ** (k + 1)))
 
 
-@lru_cache(maxsize=1024)
+@memo
 def _p_monomial(parts: Partition) -> SymFunc:
     out = SymFunc.one()
     for m in parts:
         out = out * power_sum(m)
     return out
-
-
-def from_p(coeffs: Mapping[Partition, Scalar]) -> SymFunc:
-    """Assemble a symmetric function from its power-sum expansion."""
-    return _expand(coeffs, lambda p: _p_monomial(check_partition(p)))
 
 
 def to_p(f: SymFunc) -> dict[Partition, Scalar]:

@@ -23,9 +23,7 @@ to 1, matching published HOMFLY tables in the (v, z) conventions.
 
 from __future__ import annotations
 
-from functools import cache
-
-from .coeff import ONE, IntLaurent, Scalar, delta, s_pow, v_pow, z
+from .coeff import ONE, IntLaurent, Scalar, delta, memo, s_pow, v_pow, z
 from .hecke import HeckeElt, word_elt
 from .perm import Perm, coset_decompose
 from .symfun import SymFunc
@@ -37,7 +35,7 @@ _LOOP = IntLaurent({(-1, 0): 1, (1, 0): -1})
 _CURL = IntLaurent({(-1, 1): 1, (-1, -1): -1})
 
 
-@cache
+@memo
 def _trace_num(images: tuple[int, ...]) -> IntLaurent:
     """z^n times the Markov trace of w_pi in H_n, a Laurent polynomial."""
     if not images:
@@ -55,7 +53,7 @@ def _trace_num(images: tuple[int, ...]) -> IntLaurent:
     return _CURL * value.num
 
 
-@cache
+@memo
 def _z_pow_inv(n: int) -> Scalar:
     return z() ** -n
 
@@ -65,7 +63,7 @@ def markov_ev(x: HeckeElt) -> Scalar:
     return x.pair(_trace_num) * _z_pow_inv(x.n)
 
 
-@cache
+@memo
 def _h_trace(k: int) -> Scalar:
     """markov_ev(h_idem(k)) = prod over i <= k of (v^-1 s^(i-1) - v s^(1-i)) / (s^i - s^-i)."""
     if k == 0:

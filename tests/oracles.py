@@ -18,8 +18,19 @@ The dense psi and Murphy-series oracles are the slow route through dense
 HeckeElt products and Hecke-valued series (geometric, scale_t, inverse),
 with T(j) built from its own braid word, never through the library's
 Murphy-braid word routine.
+
+The inverse routes that only tests take live here too: exact evaluation of
+a Scalar at a rational point, exp of a series (the check on log), and a
+symmetric function rebuilt from its power-sum coordinates as products of
+power sums (the check on to_p).
+
+The Coxeter length oracle is the inversion count, never a reduced word.
+
+The memo tables are found by scanning the package's modules for functools
+caches, so clearing them needs no registry in the library.
 """
 
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
@@ -29,7 +40,7 @@ from heckeskein.hecke import HeckeElt, word_elt
 from heckeskein.perm import Perm, coset_decompose, length, right_gen, word_of
 from heckeskein.repn import rho, std_tableaux
 from heckeskein.series import TruncSeries, geometric
-from heckeskein.symfun import power_sum, to_p
+from heckeskein.symfun import SymFunc, power_sum, to_p
 from heckeskein.trace import ev_sym
 
 
@@ -104,11 +115,49 @@ def symfunc_value(f, xs: list[Fraction], v0, s0) -> Fraction:
     """Evaluate an h-basis SymFunc at variables xs and parameters (v0, s0)."""
     total = Fraction(0)
     for parts, coeff in f.terms.items():
-        val = coeff.eval_rational(v0, s0)
+        val = eval_rational(coeff, v0, s0)
         for k in parts:
             val *= h_value(k, xs)
         total += val
     return total
+
+
+def _eval_poly(p, v0: Fraction, s0: Fraction) -> Fraction:
+    return sum((c * v0 ** a * s0 ** b for (a, b), c in p.terms.items()), Fraction(0))
+
+
+def eval_rational(c: Scalar, v0, s0) -> Fraction:
+    """Exact value of c at rational (v0, s0); raises on a pole."""
+    v0, s0 = Fraction(v0), Fraction(s0)
+    if v0 == 0 or s0 == 0:
+        raise ZeroDivisionError("v and s must be nonzero")
+    dval = _eval_poly(c.den, v0, s0)
+    if dval == 0:
+        raise ZeroDivisionError("pole at evaluation point")
+    return _eval_poly(c.num, v0, s0) / dval
+
+
+def series_exp(f: TruncSeries) -> TruncSeries:
+    """exp of a series with constant term 0, as the sum of f^m / m!."""
+    if f.coeffs[0] != f.coeffs[0].zero_like():
+        raise ValueError("exp needs constant term 0")
+    out = term = TruncSeries.one(f.coeffs[0], f.order)
+    for m in range(1, f.order + 1):
+        c = Scalar.from_fraction(1, m)
+        term = TruncSeries([x.scale(c) for x in (term * f).coeffs])
+        out = out + term
+    return out
+
+
+def from_p(coeffs) -> SymFunc:
+    """sum of coeffs[lambda] p_lambda, each p_lambda a product of power sums."""
+    out = SymFunc()
+    for lam, c in coeffs.items():
+        term = SymFunc.one()
+        for m in lam:
+            term = term * power_sum(m)
+        out = out + term.scale(c)
+    return out
 
 
 def markov_trace(x: HeckeElt) -> Scalar:
@@ -239,6 +288,11 @@ def compose(a: Perm, b: Perm) -> Perm:
     return Perm(tuple(im_a[j - 1] for j in b.images))
 
 
+def inversions(a: Perm) -> int:
+    """The inversion count of a, which is its Coxeter length."""
+    return sum(1 for i, j in combinations(a.images, 2) if i > j)
+
+
 def inverse(a: Perm) -> Perm:
     out = [0] * a.n
     for i, v in enumerate(a.images):
@@ -249,3 +303,22 @@ def inverse(a: Perm) -> Perm:
 def rescale(x: HeckeElt, x_param: Scalar) -> HeckeElt:
     """Writhe rescaling: w_pi -> x^{l(pi)} w_pi termwise."""
     return HeckeElt(x.n, {p: c * x_param ** length(p) for p, c in x.terms.items()})
+
+
+def memo_tables() -> list:
+    """Every memo table of the package, once each."""
+    import heckeskein.cli  # noqa: F401  (loads every module)
+
+    tables = {}
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "heckeskein":
+            for value in vars(mod).values():
+                if hasattr(value, "cache_info"):
+                    tables[id(value)] = value
+    return list(tables.values())
+
+
+def memo_clear() -> None:
+    """Empty every memo table of the package."""
+    for table in memo_tables():
+        table.cache_clear()

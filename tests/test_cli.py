@@ -4,6 +4,7 @@ import time
 
 from heckeskein import cli
 from heckeskein.cli import main
+from oracles import memo_clear
 
 
 def run(capsys, *argv):
@@ -280,3 +281,30 @@ def test_fuzz_parsers(capsys):
         if code == 2:
             assert out == ""
             assert "error: " in err, (label, err[:200])
+
+
+def test_cold_answers_equal_warm_answers():
+    # Memo tables hand out shared containers (class polynomials, matrix
+    # rows, psi images); a caller that mutated one would make a warm answer
+    # differ from the same query asked with every table empty.
+    rng = random.Random(13)
+    queries = []
+    for _ in range(12):
+        n = rng.randint(3, 5)
+        word = [rng.choice((-1, 1)) * rng.randint(1, n - 1) for _ in range(rng.randint(n, 2 * n))]
+        queries += [(cli.cmd_homfly, (n, word)), (cli.cmd_closure, (n, word))]
+    for _ in range(4):
+        elem = "*".join(rng.sample(["h2", "e2", "p1", "p2", "s(2,1)", "3"], 2))
+        queries.append((cli.cmd_psi, (rng.randint(2, 4), elem)))
+    queries += [(cli.cmd_characters, (n,)) for n in (3, 4)]
+
+    def answers(cold):
+        out = []
+        for fn, args in queries:
+            if cold:
+                memo_clear()
+            out.append(fn(*args))
+        return out
+
+    answers(cold=False)
+    assert answers(cold=False) == answers(cold=True)

@@ -63,3 +63,79 @@ def test_benchmark_tracer_installs_and_restores():
     assert all(
         after[("checks",)][k] is v for k, v in before[("checks",)].items()
     )
+
+
+def test_caches_go_through_memo_alone():
+    # One memo policy: functools' cache and lru_cache appear only in
+    # coeff.memo and the import it uses.
+    banned = {"cache", "lru_cache"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "coeff.py":
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and [
+                    getattr(t, "id", None) for t in node.targets
+                ] == ["memo"]:
+                    allowed |= set(range(node.lineno, node.end_lineno + 1))
+                if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    if [a.name for a in node.names] == ["lru_cache"]:
+                        allowed.add(node.lineno)
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name.split(".")[-1] for a in node.names]
+            if banned & set(names) and node.lineno not in allowed:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_every_memo_table_is_bounded_and_cleared():
+    from heckeskein.coeff import MEMO_SIZE
+    from heckeskein.hecke import word_elt
+    from heckeskein.psi import psi
+    from heckeskein.repn import closure
+    from heckeskein.symfun import complete, elementary
+    from heckeskein.trace import ev_sym, markov_ev
+    from oracles import memo_clear, memo_tables
+
+    decorated = sorted(
+        node.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(d, ast.Name) and d.id == "memo" for d in node.decorator_list)
+    )
+    tables = memo_tables()
+    assert len(decorated) == 19
+    assert sorted(t.__name__ for t in tables) == decorated
+    assert all(t.cache_parameters()["maxsize"] == MEMO_SIZE for t in tables)
+
+    # touch every table, then empty them all
+    psi(2, complete(2) * elementary(2))
+    closure(word_elt(3, [1, -2]))
+    markov_ev(word_elt(3, [1, -2]).mirror())
+    ev_sym(complete(2))
+    assert [t.__name__ for t in tables if not t.cache_info().currsize] == []
+    memo_clear()
+    assert [t.__name__ for t in tables if t.cache_info().currsize] == []
+
+
+def test_memo_bound_holds_the_largest_key_space():
+    # repn._basis_character keys one entry per (lambda |- k, basis braid of
+    # H_k) for k <= MAX_PERM_N; every other braid- or partition-keyed table
+    # has fewer keys, so none of them evicts.
+    from math import factorial
+
+    from heckeskein.coeff import MEMO_SIZE
+    from heckeskein.perm import MAX_PERM_N
+    from heckeskein.repn import partitions_of
+
+    keys = sum(len(list(partitions_of(k))) * factorial(k) for k in range(MAX_PERM_N + 1))
+    assert keys == 971544
+    assert MEMO_SIZE >= keys

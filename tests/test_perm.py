@@ -16,7 +16,7 @@ from heckeskein.perm import (
     transposition,
     word_to_perm,
 )
-from oracles import compose, inverse
+from oracles import compose, inverse, inversions
 
 
 def test_group_ops_examples():
@@ -77,9 +77,9 @@ def test_coset_reassembles_exhaustive():
             u, k = coset_decompose(p)
             if k is None:
                 assert u.images == p.images[:-1]
-                assert length(u) == length(p)
+                assert inversions(u) == inversions(p)
             else:
-                assert length(u) + (n - k) == length(p)
+                assert inversions(u) + (n - k) == inversions(p)
                 rebuilt = Perm(u.images + (n,))
                 for i in range(n - 1, k - 1, -1):
                     rebuilt = compose(rebuilt, word_to_perm(n, [i]))
@@ -90,7 +90,7 @@ def test_reduced_word_exhaustive():
     for n in range(0, 7):
         for p in all_perms(n):
             w = reduced_word(p)
-            assert len(w) == length(p)
+            assert len(w) == length(p) == inversions(p)
             assert word_to_perm(n, w) == p
 
 

@@ -14,7 +14,6 @@ from heckeskein.symfun import (
     complete_series,
     elementary,
     elementary_series,
-    from_p,
     from_schur,
     power_sum,
     schur,
@@ -22,7 +21,7 @@ from heckeskein.symfun import (
     to_schur,
 )
 
-from oracles import e_value, h_value, p_value, schur_value, symfunc_value
+from oracles import e_value, from_p, h_value, p_value, schur_value, symfunc_value
 
 
 def h_mono(*parts):

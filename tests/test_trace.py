@@ -9,6 +9,7 @@ from heckeskein.perm import all_perms
 from heckeskein.repn import closure, partitions_of
 from heckeskein.symfun import SymFunc, complete, schur
 from heckeskein.trace import ev_sym, homfly, markov_ev
+from oracles import memo_clear
 
 
 def rand_elt(rng, n, terms=3):
@@ -79,7 +80,7 @@ def test_ev_sym_h8_builds_no_idempotent(monkeypatch):
     def forbidden(x):
         raise AssertionError("markov_ev called")
 
-    trace._h_trace.cache_clear()
+    memo_clear()
     monkeypatch.setattr(trace, "markov_ev", forbidden)
     value = ev_sym(complete(8))
     assert value == ev_sym(complete(7)) * (
