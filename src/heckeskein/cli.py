@@ -15,7 +15,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import repn, symfun, trace
 from .coeff import Scalar, delta, quantum_int, s_pow, v_pow, z
@@ -58,13 +58,7 @@ class VerifyReport:
             self.status = "fail"
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "params": self.params,
-            "status": self.status,
-            "details": self.details,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -374,47 +368,62 @@ def _bounded(value: int, label: str, low: int, high: int) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand is one ``command(name, help, run, *flags)``.
+
+    ``run(args)`` bounds the flags and returns ``(exit code, payload)``.  It
+    looks its ``cmd_*`` up by module name when it runs, so a test or tracer
+    that rebinds ``cli.cmd_*`` sees every call.
+    """
     parser = argparse.ArgumentParser(
         prog="heckeskein",
         description="Exact Hecke-algebra and annulus-skein computations.",
     )
+    parser.set_defaults(render=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="verify a theorem identity exactly")
-    p.add_argument("theorem", help=f"one of: {', '.join(sorted(CHECKS))}, all")
-    p.add_argument("--n", type=int, default=DEFAULT_N)
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
-    _common_flags(p)
+    def command(name, help, run, *flags, **defaults):
+        # a flag is required unless the command gives it a default
+        p = sub.add_parser(name, help=help)
+        for flag, kind in flags:
+            p.add_argument(flag, type=kind, required=flag[2:] not in defaults)
+        p.add_argument("--pretty", action="store_true", help="human-readable rendering")
+        p.add_argument("--out", type=str, default=None, help="write JSON to a file")
+        p.set_defaults(run=run, **defaults)
+        return p
 
-    p = sub.add_parser("homfly", help="HOMFLY polynomial of a closed braid")
-    p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--word", type=str, required=True)
-    _common_flags(p)
-
-    p = sub.add_parser("closure", help="annulus closure of a braid word")
-    p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--word", type=str, required=True)
-    _common_flags(p)
-
-    p = sub.add_parser("characters", help="character table of H_n")
-    p.add_argument("--n", type=int, required=True)
-    _common_flags(p)
-
-    p = sub.add_parser("psi", help="image of an annulus element in Z(H_n)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--elem", type=str, required=True)
-    _common_flags(p)
-
-    p = sub.add_parser("eval", help="plane evaluation of an annulus element")
-    p.add_argument("--elem", type=str, required=True)
-    _common_flags(p)
-
+    command(
+        "verify", "verify a theorem identity exactly",
+        lambda a: cmd_verify(a.theorem, _bounded(a.n, "--n", 1, MAX_N),
+                             _bounded(a.degree, "--degree", 0, MAX_DEGREE)),
+        ("--n", int), ("--degree", int),
+        n=DEFAULT_N, degree=DEFAULT_DEGREE, render=_render_verify,
+    ).add_argument("theorem", help=f"one of: {', '.join(sorted(CHECKS))}, all")
+    command(
+        "homfly", "HOMFLY polynomial of a closed braid",
+        lambda a: (0, cmd_homfly(_bounded(a.strands, "--strands", 1, MAX_PERM_N),
+                                 parse_word(a.word))),
+        ("--strands", int), ("--word", str),
+    )
+    command(
+        "closure", "annulus closure of a braid word",
+        lambda a: (0, cmd_closure(_bounded(a.strands, "--strands", 1, MAX_N),
+                                  parse_word(a.word))),
+        ("--strands", int), ("--word", str),
+    )
+    command(
+        "characters", "character table of H_n",
+        lambda a: (0, cmd_characters(_bounded(a.n, "--n", 1, MAX_N))), ("--n", int),
+    )
+    command(
+        "psi", "image of an annulus element in Z(H_n)",
+        lambda a: (0, cmd_psi(_bounded(a.n, "--n", 0, MAX_N), a.elem)),
+        ("--n", int), ("--elem", str),
+    )
+    command(
+        "eval", "plane evaluation of an annulus element",
+        lambda a: (0, cmd_eval(a.elem)), ("--elem", str),
+    )
     return parser
-
-
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--pretty", action="store_true", help="human-readable rendering")
-    p.add_argument("--out", type=str, default=None, help="write JSON to a file")
 
 
 def _check_writable(path: str):
@@ -462,44 +471,16 @@ def _render_verify(reports: list[dict]) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         if args.out:
             _check_writable(args.out)
-        if args.command == "verify":
-            n = _bounded(args.n, "--n", 1, MAX_N)
-            degree = _bounded(args.degree, "--degree", 0, MAX_DEGREE)
-            code, reports = cmd_verify(args.theorem, n, degree)
-            _emit(reports, args.pretty, args.out, _render_verify)
-            return code
-        if args.command == "homfly":
-            strands = _bounded(args.strands, "--strands", 1, MAX_PERM_N)
-            payload = cmd_homfly(strands, parse_word(args.word))
-            _emit(payload, args.pretty, args.out)
-            return 0
-        if args.command == "closure":
-            strands = _bounded(args.strands, "--strands", 1, MAX_N)
-            payload = cmd_closure(strands, parse_word(args.word))
-            _emit(payload, args.pretty, args.out)
-            return 0
-        if args.command == "characters":
-            n = _bounded(args.n, "--n", 1, MAX_N)
-            payload = cmd_characters(n)
-            _emit(payload, args.pretty, args.out)
-            return 0
-        if args.command == "psi":
-            n = _bounded(args.n, "--n", 0, MAX_N)
-            payload = cmd_psi(n, args.elem)
-            _emit(payload, args.pretty, args.out)
-            return 0
-        if args.command == "eval":
-            payload = cmd_eval(args.elem)
-            _emit(payload, args.pretty, args.out)
-            return 0
+        code, payload = args.run(args)
+        _emit(payload, args.pretty, args.out, args.render)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -507,7 +488,6 @@ def main(argv=None) -> int:
         # a broken invariant inside the library, not a failed verification
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError("unreachable command")
 
 
 if __name__ == "__main__":

@@ -66,6 +66,14 @@ class IntLaurent:
     def monomial(c: int, e_v: int, e_s: int) -> IntLaurent:
         return IntLaurent({(e_v, e_s): c} if c else {})
 
+    @staticmethod
+    def _wrap(terms: dict[ExpPair, int]) -> IntLaurent:
+        """Take ``terms``, which holds no zero coefficient, without a copy."""
+        res = IntLaurent.__new__(IntLaurent)
+        res.terms = terms
+        res._key = None
+        return res
+
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -97,16 +105,10 @@ class IntLaurent:
                 out[e] = nc
             else:
                 del out[e]
-        res = IntLaurent.__new__(IntLaurent)
-        res.terms = out
-        res._key = None
-        return res
+        return IntLaurent._wrap(out)
 
     def __neg__(self) -> IntLaurent:
-        res = IntLaurent.__new__(IntLaurent)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        res._key = None
-        return res
+        return IntLaurent._wrap({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: IntLaurent) -> IntLaurent:
         return self + (-other)
@@ -118,10 +120,8 @@ class IntLaurent:
             ((ev, es), c), = other.terms.items()
             if (ev, es) == (0, 0) and c == 1:
                 return self
-            res = IntLaurent.__new__(IntLaurent)
-            res.terms = {(a + ev, b + es): k * c for (a, b), k in self.terms.items()}
-            res._key = None
-            return res
+            terms = self.terms.items()
+            return IntLaurent._wrap({(a + ev, b + es): k * c for (a, b), k in terms})
         if len(self.terms) == 1:
             return other * self
         out: dict[ExpPair, int] = {}
@@ -133,29 +133,20 @@ class IntLaurent:
                     out[e] = nc
                 elif e in out:
                     del out[e]
-        res = IntLaurent.__new__(IntLaurent)
-        res.terms = out
-        res._key = None
-        return res
+        return IntLaurent._wrap(out)
 
     def int_mul(self, c: int) -> IntLaurent:
         if c == 0:
             return _L_ZERO
         if c == 1:
             return self
-        res = IntLaurent.__new__(IntLaurent)
-        res.terms = {e: k * c for e, k in self.terms.items()}
-        res._key = None
-        return res
+        return IntLaurent._wrap({e: k * c for e, k in self.terms.items()})
 
     def shift(self, e_v: int, e_s: int) -> IntLaurent:
         """Multiply by the monomial v^e_v s^e_s."""
         if e_v == 0 and e_s == 0:
             return self
-        res = IntLaurent.__new__(IntLaurent)
-        res.terms = {(a + e_v, b + e_s): c for (a, b), c in self.terms.items()}
-        res._key = None
-        return res
+        return IntLaurent._wrap({(a + e_v, b + e_s): c for (a, b), c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntLaurent) and self.terms == other.terms
@@ -190,10 +181,7 @@ class IntLaurent:
 
     def mirror(self) -> IntLaurent:
         """Substitute v -> v^{-1}, s -> s^{-1}."""
-        res = IntLaurent.__new__(IntLaurent)
-        res.terms = {(-a, -b): c for (a, b), c in self.terms.items()}
-        res._key = None
-        return res
+        return IntLaurent._wrap({(-a, -b): c for (a, b), c in self.terms.items()})
 
     # -- display ---------------------------------------------------------------
 

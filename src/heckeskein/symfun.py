@@ -17,6 +17,7 @@ import itertools
 from typing import Callable, Mapping
 
 from .coeff import Scalar, add_term, memo, s_pow, z
+from .perm import cycle_type
 from .series import TruncSeries
 
 Partition = tuple[int, ...]
@@ -178,11 +179,11 @@ def _schur_terms(parts: Partition) -> tuple[tuple[Partition, int], ...]:
     if ell == 0:
         return (((), 1),)
     acc: dict[Partition, int] = {}
-    for sigma in itertools.permutations(range(ell)):
+    for sigma in itertools.permutations(range(1, ell + 1)):
         exps = []
         ok = True
         for i in range(ell):
-            e = parts[i] - (i + 1) + (sigma[i] + 1)
+            e = parts[i] - (i + 1) + sigma[i]
             if e < 0:
                 ok = False
                 break
@@ -190,27 +191,10 @@ def _schur_terms(parts: Partition) -> tuple[tuple[Partition, int], ...]:
                 exps.append(e)
         if not ok:
             continue
-        sign = _parity(sigma)
+        sign = (-1) ** (ell - len(cycle_type(sigma)))
         key = tuple(sorted(exps, reverse=True))
         acc[key] = acc.get(key, 0) + sign
     return tuple(sorted((k, v) for k, v in acc.items() if v))
-
-
-def _parity(sigma: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(sigma)
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def schur(parts) -> SymFunc:

@@ -159,11 +159,40 @@ def test_element_degree_rejected_before_building(capsys):
 
 
 def test_bounds_enforced(capsys):
-    code, _, err = run(capsys, "verify", "murphy-linear", "--n", "99")
-    assert code == 2
-    assert "between" in err
-    code, _, err = run(capsys, "characters", "--n", "7")
-    assert code == 2
+    # one row per bound site, each one step past an end of its range
+    for argv, flag, low, high, got in (
+        (["verify", "murphy-linear", "--n", "99"], "--n", 1, 6, 99),
+        (["verify", "murphy-linear", "--n", "0"], "--n", 1, 6, 0),
+        (["verify", "murphy-linear", "--degree", "9"], "--degree", 0, 8, 9),
+        (["homfly", "--strands", "0", "--word", "1"], "--strands", 1, 8, 0),
+        (["homfly", "--strands", "9", "--word", "1"], "--strands", 1, 8, 9),
+        (["closure", "--strands", "7", "--word", "1"], "--strands", 1, 6, 7),
+        (["characters", "--n", "0"], "--n", 1, 6, 0),
+        (["characters", "--n", "7"], "--n", 1, 6, 7),
+        (["psi", "--n", "7", "--elem", "h1"], "--n", 0, 6, 7),
+        (["psi", "--n", "-1", "--elem", "h1"], "--n", 0, 6, -1),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {flag} must be between {low} and {high}, got {got}\n", argv
+
+
+def test_main_calls_the_module_commands(capsys, monkeypatch):
+    # main looks each cmd_* up when it runs, so a rebound one (a tracer) is seen
+    calls = []
+    monkeypatch.setattr(cli, "cmd_homfly", lambda *args: calls.append(args) or {"x": 1})
+    monkeypatch.setattr(cli, "cmd_verify", lambda *args: calls.append(args) or (1, []))
+    assert run(capsys, "homfly", "--strands", "3", "--word", "1 -2") == (0, '{"x": 1}\n', "")
+    assert run(capsys, "verify", "power", "--degree", "2") == (1, "[]\n", "")
+    assert calls == [(3, [1, -2]), ("power", 4, 2)]
+
+
+def test_every_subcommand_has_help(capsys):
+    for cmd in ("verify", "homfly", "closure", "characters", "psi", "eval"):
+        code, out, _ = run(capsys, cmd, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: heckeskein {cmd} ")
+        assert "--pretty" in out and "--out OUT" in out
 
 
 def test_usage_error_exits_2(capsys):
