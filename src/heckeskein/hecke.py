@@ -11,7 +11,8 @@ and a positive lex-leading coefficient, and no non-unit factor of den
 divides every numerator.  `terms` shows the same element as a read-only
 {Perm: Scalar} map of reduced coefficients, built on first use, and
 `pair` applies a linear functional given by polynomial values on the basis
-straight to the numerators.
+straight to the numerators, returning the integer numerator over den for
+its caller to reduce once.
 
 Right multiplication by a generator is the only structural operation:
 
@@ -169,11 +170,11 @@ class HeckeElt:
             nums = _rmul_gen_poly(nums, abs(i), 1 if i > 0 else -1)
         return _elt(self.n, nums, self.den)
 
-    def pair(self, value: Callable[[Images], IntLaurent]) -> Scalar:
-        """The linear functional w_pi -> value(pi) at self, for polynomial values.
+    def pair(self, value: Callable[[Images], IntLaurent]) -> IntLaurent:
+        """The numerator over den of the functional w_pi -> value(pi) at self.
 
-        One integer accumulation of nums[pi] * value(pi) over the terms, then
-        one reduction over den.
+        One integer accumulation of nums[pi] * value(pi) over the terms; the
+        caller reduces the result over den once.
         """
         acc: dict[tuple[int, int], int] = {}
         for im, c in self.nums.items():
@@ -182,7 +183,7 @@ class HeckeElt:
                 for (a2, b2), k2 in f.items():
                     e = (a1 + a2, b1 + b2)
                     acc[e] = acc.get(e, 0) + k1 * k2
-        return Scalar(IntLaurent(acc), self.den)
+        return IntLaurent(acc)
 
     # -- the skein structure --------------------------------------------------------------
 
@@ -417,7 +418,7 @@ def phi_eval(x: HeckeElt, t: Scalar) -> Scalar:
     """
     if not t.den.is_one():
         raise ValueError(f"phi_eval needs a Laurent polynomial, got {t!r}")
-    return x.pair(lambda im: (t ** len(word_of(im))).num)
+    return Scalar(x.pair(lambda im: (t ** len(word_of(im))).num), x.den)
 
 
 def phi_s(x: HeckeElt) -> Scalar:

@@ -276,7 +276,7 @@ def character(x: HeckeElt, parts) -> Scalar:
     lam = check_partition(parts)
     if sum(lam) != x.n:
         raise ValueError(f"|lambda| = {sum(lam)} but x lives in H_{x.n}")
-    return x.pair(lambda images: _basis_character(lam, images))
+    return Scalar(x.pair(lambda images: _basis_character(lam, images)), x.den)
 
 
 def closure_schur(x: HeckeElt) -> dict[Partition, Scalar]:

@@ -8,8 +8,12 @@ form w_pi = w_u . sigma_{n-1} sigma_{n-2} ... sigma_k:
 * otherwise the single sigma_{n-1} crossing closes into a curl: factor
   v^{-1}, and the leftover sigma_{n-2}...sigma_k gets absorbed into H_{n-1}.
 
-Scaled by z^n these values are Laurent polynomials, cached per basis braid;
-the trace of x is their pairing with x (HeckeElt.pair), divided by z^n.
+Every closed strand ends as a loop or a curl, so the number l of loops fixes
+the whole v-dependence: tr(w_pi) = sum over l of b_l(s) delta^l v^(l-n), with
+each b_l in Z[s^±].  The b_l are cached per basis braid.  The trace of x
+pairs its numerators with each b_l (HeckeElt.pair) and, as
+delta = v^{-1} (1 - v^2) / z, sums the grades into one numerator over
+z^n den by Horner's rule in 1 - v^2, reduced once.
 
 The multiplicative evaluation on the annulus ring sends h_k to the trace of
 the k-strand row idempotent, taken from its closed form (Aiston & Morton,
@@ -18,49 +22,61 @@ with the character closure this gives the consistency check
 markov_ev = ev_sym(closure(.)).
 
 The user-facing `homfly` rescales by the writhe and normalizes the unknot
-to 1, matching published HOMFLY tables in the (v, z) conventions.
+to 1, matching published HOMFLY tables in the (v, z) conventions; it takes
+the same sum with one factor delta divided out, again reduced once.
 """
 
 from __future__ import annotations
 
-from .coeff import ONE, IntLaurent, Scalar, delta, memo, s_pow, v_pow, z
+from .coeff import ONE, IntLaurent, Scalar, memo, s_pow, v_pow, z
 from .hecke import HeckeElt, word_elt
 from .perm import Perm, coset_decompose
 from .symfun import SymFunc
 
-
-# z^n tr(w_pi) is a polynomial: a free loop gives delta = (v^-1 - v)/z and
-# a curl v^-1, so z^n tr = (v^-1 - v) z^{n-1} tr, resp. z v^-1 z^{n-1} tr.
-_LOOP = IntLaurent({(-1, 0): 1, (1, 0): -1})
-_CURL = IntLaurent({(-1, 1): 1, (-1, -1): -1})
+_ZERO_POLY = IntLaurent()
+_ONE_POLY = IntLaurent.from_int(1)
+_Z = z().num
 
 
 @memo
-def _trace_num(images: tuple[int, ...]) -> IntLaurent:
-    """z^n times the Markov trace of w_pi in H_n, a Laurent polynomial."""
+def _trace_loops(images: tuple[int, ...]) -> tuple[IntLaurent, ...]:
+    """(b_0, ..., b_n) with tr(w_pi) = sum over l of b_l delta^l v^(l-n) in H_n."""
     if not images:
-        return IntLaurent.from_int(1)
+        return (_ONE_POLY,)
     n = len(images)
     u, k = coset_decompose(Perm(images))
     if k is None:
-        return _LOOP * _trace_num(u.images)
-    # w_pi = w_u sigma_{n-1} (sigma_{n-2}...sigma_k); closing the top
-    # strand through the single sigma_{n-1} gives the curl factor.
+        return (_ZERO_POLY,) + _trace_loops(u.images)
+    # w_pi = w_u sigma_{n-1} (sigma_{n-2}...sigma_k); the curl's v^-1 turns
+    # the tail's v^(l-n+1) into v^(l-n), so its grades carry over unchanged.
     tail = HeckeElt.basis(u).rmul_word(range(n - 2, k - 1, -1))
-    value = tail.pair(_trace_num)
-    if not value.den.is_one():
-        raise ArithmeticError(f"z^n trace of w{images} is not a polynomial: {value!r}")
-    return _CURL * value.num
+    if not tail.den.is_one():
+        raise ArithmeticError(f"the tail of w{images} has denominator {tail.den!r}")
+    grades = tuple(tail.pair(lambda im: _trace_loops(im)[l]) for l in range(n))
+    return grades + (_ZERO_POLY,)
 
 
-@memo
-def _z_pow_inv(n: int) -> Scalar:
-    return z() ** -n
+def _loop_sum(x: HeckeElt, j: int, t: int) -> Scalar:
+    """v^t tr(x) / delta^j, for j = 0, or j = 1 on n >= 1 strands.
+
+    With K_l the pairing of x with b_l and delta = v^{-1} (1 - v^2) / z, this
+    is v^(t+j-n) sum over l >= j of K_l (1 - v^2)^(l-j) z^(n-l), over
+    z^(n-j) x.den; b_0 = 0 on n >= 1 strands, so there K_0 needs no pairing.
+    """
+    n = x.n
+    first = min(n, 1)
+    ks = [_ZERO_POLY] * (first - j)
+    ks += [x.pair(lambda im: _trace_loops(im)[l]) for l in range(first, n + 1)]
+    num, z_pow = ks.pop(), _ONE_POLY
+    for k in reversed(ks):  # Horner's rule: num <- num (1 - v^2) + K_l z^(n-l)
+        z_pow = z_pow * _Z
+        num = num - num.shift(2, 0) + k * z_pow
+    return Scalar(num.shift(t + j - n, 0), z_pow * x.den)
 
 
 def markov_ev(x: HeckeElt) -> Scalar:
     """The framed Markov trace: delta per free loop, v^{-1} per curl."""
-    return x.pair(_trace_num) * _z_pow_inv(x.n)
+    return _loop_sum(x, 0, 0)
 
 
 @memo
@@ -88,5 +104,4 @@ def homfly(n: int, word: list[int]) -> Scalar:
     if n < 1:
         raise ValueError("need at least one strand")
     writhe = sum(1 if i > 0 else -1 for i in word)
-    raw = markov_ev(word_elt(n, word))
-    return v_pow(writhe) * raw / delta()
+    return _loop_sum(word_elt(n, word), 1, writhe)

@@ -112,7 +112,7 @@ def test_every_memo_table_is_bounded_and_cleared():
         and any(isinstance(d, ast.Name) and d.id == "memo" for d in node.decorator_list)
     )
     tables = memo_tables()
-    assert len(decorated) == 19
+    assert len(decorated) == 18
     assert sorted(t.__name__ for t in tables) == decorated
     assert all(t.cache_parameters()["maxsize"] == MEMO_SIZE for t in tables)
 

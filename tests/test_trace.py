@@ -9,7 +9,7 @@ from heckeskein.perm import all_perms
 from heckeskein.repn import closure, partitions_of
 from heckeskein.symfun import SymFunc, complete, schur
 from heckeskein.trace import ev_sym, homfly, markov_ev
-from oracles import memo_clear
+from oracles import markov_trace, memo_clear
 
 
 def rand_elt(rng, n, terms=3):
@@ -153,6 +153,18 @@ def test_homfly_markov_invariance():
     assert homfly(3, [1, 1, 1]) == delta() * base
     # the same knot presented on three strands (torus braid presentation)
     assert homfly(3, [1, 2, 1, 2]) == base
+
+
+def test_homfly_matches_the_three_scalar_route():
+    # v^writhe markov_trace(word) / delta, with the trace summed term by term
+    rng = random.Random(1505)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        word = [rng.choice([-1, 1]) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(n, 3 * n))]
+        writhe = sum(1 if i > 0 else -1 for i in word)
+        slow = v_pow(writhe) * markov_trace(word_elt(n, word)) / delta()
+        assert homfly(n, word) == slow, (n, word)
 
 
 def test_homfly_mirror_trefoil():
