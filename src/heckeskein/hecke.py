@@ -161,12 +161,9 @@ class HeckeElt:
 
     def rmul_word(self, word) -> HeckeElt:
         """self * sigma_{|i|}^{sign(i)} over the letters i of a braid word."""
+        check_word(self.n, word)
         nums = self.nums
         for i in word:
-            if i == 0 or not (1 <= abs(i) <= self.n - 1):
-                raise ValueError(
-                    f"braid letter {i} out of range for {self.n} strands"
-                )
             nums = _rmul_gen_poly(nums, abs(i), 1 if i > 0 else -1)
         return _elt(self.n, nums, self.den)
 
@@ -349,6 +346,13 @@ def _mirror_basis(images: Images) -> PolyTerms:
 # ---------------------------------------------------------------------------
 # Named elements and maps.
 # ---------------------------------------------------------------------------
+
+
+def check_word(n: int, word) -> None:
+    """Raise ValueError unless every letter i of the braid word has 1 <= |i| <= n - 1."""
+    for i in word:
+        if not 1 <= abs(i) <= n - 1:
+            raise ValueError(f"braid letter {i} out of range for {n} strands")
 
 
 def word_elt(n: int, word: list[int]) -> HeckeElt:

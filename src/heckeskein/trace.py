@@ -23,19 +23,31 @@ markov_ev = ev_sym(closure(.)).
 
 The user-facing `homfly` rescales by the writhe and normalizes the unknot
 to 1, matching published HOMFLY tables in the (v, z) conventions; it takes
-the same sum with one factor delta divided out, again reduced once.
+the same sum with one factor delta divided out, again reduced once.  That
+value is invariant under conjugation and stabilisation of the braid (Jones,
+Ann. Math. 126 (1987) 335-388), so after checking every letter `homfly`
+applies these Markov moves until none fits, and expands only what is left:
+
+* cancel adjacent letters i, -i, also cyclically across the two ends;
+* if some generator k never occurs, the closure is the split union of the
+  closures on strands 1..k and k+1..n: delta P(left) P(right);
+* if sigma_{n-1}^{+-1} occurs once, drop it and go to n-1 strands: a word
+  a x b is conjugate to b a x, which destabilises to b a, conjugate to a b;
+* if sigma_1^{+-1} occurs once, conjugate by the half twist, i -> n-i, and
+  destabilise the same way.
 """
 
 from __future__ import annotations
 
-from .coeff import ONE, IntLaurent, Scalar, memo, s_pow, v_pow, z
-from .hecke import HeckeElt, word_elt
+from .coeff import ONE, IntLaurent, Scalar, delta, memo, s_pow, v_pow, z
+from .hecke import HeckeElt, check_word, word_elt
 from .perm import Perm, coset_decompose
 from .symfun import SymFunc
 
 _ZERO_POLY = IntLaurent()
 _ONE_POLY = IntLaurent.from_int(1)
 _Z = z().num
+_DELTA = delta()
 
 
 @memo
@@ -103,5 +115,41 @@ def homfly(n: int, word: list[int]) -> Scalar:
     """Framed-corrected HOMFLY polynomial of the closed braid, unknot = 1."""
     if n < 1:
         raise ValueError("need at least one strand")
-    writhe = sum(1 if i > 0 else -1 for i in word)
-    return _loop_sum(word_elt(n, word), 1, writhe)
+    check_word(n, word)
+    return _homfly_moved(n, word)
+
+
+def _cancel(word: list[int]) -> list[int]:
+    """The word with adjacent i, -i pairs cancelled, also across its two ends."""
+    out: list[int] = []
+    for i in word:
+        if out and out[-1] == -i:
+            out.pop()
+        else:
+            out.append(i)
+    lo, hi = 0, len(out)
+    while hi - lo >= 2 and out[lo] == -out[hi - 1]:
+        lo, hi = lo + 1, hi - 1
+    return out[lo:hi]
+
+
+def _homfly_moved(n: int, word: list[int]) -> Scalar:
+    """homfly of a checked word, expanded after the Markov moves run out."""
+    while n > 1:
+        word = _cancel(word)
+        counts = [0] * n
+        for i in word:
+            counts[abs(i)] += 1
+        if 0 in counts[1:]:
+            k = counts.index(0, 1)
+            left = [i for i in word if abs(i) < k]
+            right = [i - k if i > 0 else i + k for i in word if abs(i) > k]
+            return _DELTA * _homfly_moved(k, left) * _homfly_moved(n - k, right)
+        if counts[n - 1] != 1:
+            if counts[1] != 1:
+                writhe = sum(1 if i > 0 else -1 for i in word)
+                return _loop_sum(word_elt(n, word), 1, writhe)
+            word = [n - i if i > 0 else -n - i for i in word]
+        del word[next(p for p, i in enumerate(word) if abs(i) == n - 1)]
+        n -= 1
+    return ONE

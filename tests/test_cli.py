@@ -136,6 +136,14 @@ def test_bad_word_token_named(capsys):
     assert code == 2
 
 
+def test_out_of_range_letter_exits_2_before_any_move(capsys):
+    # these letters would cancel or be split away if they were not checked first
+    for word in ("5 -5", "1 -1 4"):
+        code, out, err = run(capsys, "homfly", "--strands", "3", "--word", word)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
 def test_bad_element_named(capsys):
     for elem, named in (
         ("h1*zap", "'zap'"),

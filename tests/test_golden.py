@@ -26,6 +26,12 @@ GOLDEN = [
      "e7d063fe322ba4da1e2adfd888ba0c53f644845b715fdcaaff54bafc3a9fe8ed"),
     (["homfly", "--strands", "6", "--word", "1 -2 3 -4 5 2 -1 3 4 -5 -2 1 3"],
      "3e914de9ce9950bc6c1726e24ab2e6736832e03c550751b4398c7b2f8bca9614"),
+    # split, cancelled and destabilised down to small components
+    (["homfly", "--strands", "8", "--word", "1 1 1 -3 4 -3 4 6 -6 7 5"],
+     "e211a73c4ce9d789d5b94af2cd9cb153b5a02ccd47758b3242935660527d39f0"),
+    # sigma_1 alone occurs once: conjugated by the half twist, then destabilised
+    (["homfly", "--strands", "4", "--word", "1 2 -3 2 3 -2 3 2"],
+     "d8c7785f6827b7a128c65d1f32fa794d2cb53b76921b52f42c920640c3f95993"),
     (["eval", "--elem", "h2*e1*p1*s(2,1)"],
      "4f6f7eb664797a5ce437cf48dbd08aa38c8d1914e5365076a9518d24e1253d59"),
     (["verify", "all", "--n", "3", "--degree", "3"],

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from heckeskein import trace
-from heckeskein.coeff import ONE, Scalar, delta, quantum_int, s_pow, v_pow, z
+from heckeskein import repn, trace
+from heckeskein.coeff import ONE, IntLaurent, Scalar, delta, quantum_int, s_pow, v_pow, z
 from heckeskein.hecke import HeckeElt, h_idem, word_elt
 from heckeskein.perm import all_perms
 from heckeskein.repn import closure, partitions_of
@@ -180,3 +180,75 @@ def test_homfly_bad_word():
         homfly(2, [3])
     with pytest.raises(ValueError):
         homfly(0, [])
+    # letters are checked before any move could cancel or split them away
+    for n, word in ((3, [5, -5]), (3, [1, -1, 4]), (4, [1, -4])):
+        with pytest.raises(ValueError):
+            homfly(n, word)
+
+
+def markov_word(rng, n):
+    """A braid word on n strands, biased so that each Markov move fires often."""
+    if n == 1:
+        return []
+    gens = list(range(1, n))
+    kind = rng.randrange(5)
+    once = None
+    if kind == 1 and n > 2:  # some generator missing: a split
+        gens.remove(rng.choice(gens))
+    elif kind in (2, 3) and n > 2:  # sigma_{n-1} or sigma_1 exactly once
+        once = n - 1 if kind == 2 else 1
+        gens.remove(once)
+    word = [rng.choice((1, -1)) * rng.choice(gens) for _ in range(rng.randint(0, 2 * n))]
+    if once:
+        word.insert(rng.randint(0, len(word)), rng.choice((1, -1)) * once)
+    if kind == 4:  # cancelling pairs at the ends, one of them across the ends
+        a, b = (rng.choice((1, -1)) * rng.choice(gens) for _ in range(2))
+        word = [a] + word + [b, -b, -a]
+    return word
+
+
+def test_homfly_moves_match_the_unreduced_expansion():
+    # homfly reduces the word by Markov moves; the public route below
+    # expands it whole
+    rng = random.Random(1616)
+    for _ in range(420):
+        n = rng.randint(1, 7)
+        word = markov_word(rng, n)
+        writhe = sum(1 if i > 0 else -1 for i in word)
+        whole = v_pow(writhe) * markov_ev(word_elt(n, word)) / delta()
+        assert homfly(n, word) == whole, (n, word)
+
+
+def test_homfly_expands_only_what_the_moves_leave(monkeypatch):
+    expanded = []
+
+    def recording(n, word):
+        expanded.append(n)
+        return word_elt(n, word)
+
+    monkeypatch.setattr(trace, "word_elt", recording)
+    assert homfly(7, [1, 2, 3, 4, 5, 6]) == ONE  # an unknot, destabilised away
+    assert max(expanded, default=0) <= 1
+    # a figure eight on strands 1..3 beside a trefoil on strands 5..6
+    expanded.clear()
+    split = homfly(6, [1, -2, 5, 1, 5, -2, 5])
+    assert sorted(expanded) == [2, 3]
+    assert split == delta() * delta() * homfly(3, [1, -2, 1, -2]) * homfly(2, [1, 1, 1])
+    # sigma_1 alone occurs once: flipped by the half twist, then destabilised
+    expanded.clear()
+    homfly(4, [1, 2, -3, 2, 3, -2, 3, 2])
+    assert expanded == [3]
+
+
+def test_trace_grades_are_class_polynomial_sums():
+    # tr(w_mu) = delta^l(mu) v^(l(mu)-n) for a minimal braid, so the grade l
+    # of tr(w_pi) sums the class polynomials f_{pi,mu} over l(mu) = l
+    for n in range(1, 7):
+        for p in all_perms(n):
+            f = repn._class_poly(p.images)
+            for loops, b in enumerate(trace._trace_loops(p.images)):
+                total = IntLaurent()
+                for mu, poly in f.items():
+                    if len(mu) == loops:
+                        total = total + poly
+                assert b == total, (p.images, loops)
