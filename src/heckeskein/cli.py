@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import repn, symfun, trace
-from .coeff import Scalar, delta, quantum_int, s_pow, v_pow, z
+from .coeff import ZERO, Scalar, delta, quantum_int, s_pow, v_pow, z
 from .hecke import (
     HeckeElt,
     a_sym,
@@ -323,12 +323,15 @@ def cmd_closure(strands: int, word: list[int]) -> dict:
 
 
 def cmd_characters(n: int) -> list[dict]:
+    # a basis braid's characters are the Schur coordinates of its closure,
+    # all shapes from one pass; the zeros closure_schur omits are filled in
+    rows = [(p, repn.closure_schur(HeckeElt.basis(p))) for p in all_perms(n)]
     out = []
     for lam in repn.partitions_of(n):
         values = {}
-        for p in all_perms(n):
+        for p, chars in rows:
             key = ",".join(str(i) for i in p.images)
-            values[key] = repn.character(HeckeElt.basis(p), lam).to_json()
+            values[key] = chars.get(lam, ZERO).to_json()
         out.append({"lambda": list(lam), "values": values})
     return out
 

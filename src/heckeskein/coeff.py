@@ -35,7 +35,8 @@ from functools import lru_cache
 ExpPair = tuple[int, int]  # (e_v, e_s)
 
 # The largest key space is one entry per pair (partition of k, basis braid
-# of H_k) for k <= 8, as in repn._basis_character: sum p(k) k! = 971544.
+# of H_k) for k <= 8, as in repn._basis_matrix, which rep_of reaches on any
+# basis braid: sum p(k) k! = 971544.
 MEMO_SIZE = 1 << 20
 memo = lru_cache(maxsize=MEMO_SIZE)
 
@@ -776,3 +777,12 @@ def add_term(store: dict, key, val) -> None:
         store.pop(key, None)
     else:
         store[key] = val
+
+
+def mul_into(acc: dict[ExpPair, int], f: IntLaurent, g: IntLaurent) -> None:
+    """acc += f g on integer terms, in place; IntLaurent(acc) drops the zeros."""
+    gs = g.terms.items()
+    for (a1, b1), k1 in f.terms.items():
+        for (a2, b2), k2 in gs:
+            e = (a1 + a2, b1 + b2)
+            acc[e] = acc.get(e, 0) + k1 * k2

@@ -10,9 +10,11 @@ equality is structural: den is a genuine polynomial with no monomial factor
 and a positive lex-leading coefficient, and no non-unit factor of den
 divides every numerator.  `terms` shows the same element as a read-only
 {Perm: Scalar} map of reduced coefficients, built on first use, and
-`pair` applies a linear functional given by polynomial values on the basis
-straight to the numerators, returning the integer numerator over den for
-its caller to reduce once.
+`pair` applies keyed linear functionals straight to the numerators: each
+basis braid yields (key, polynomial) pairs, and one pass over the terms
+returns {key: integer numerator over den}, for its caller to reduce once.
+The characters (keyed by conjugacy class), the loop grades of the Markov
+trace and phi_eval (one key) all pair this way.
 
 Right multiplication by a generator is the only structural operation:
 
@@ -38,7 +40,7 @@ normalised once.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .coeff import (
     ONE,
@@ -49,6 +51,7 @@ from .coeff import (
     delta,
     laurent_divexact,
     memo,
+    mul_into,
     over_lcm,
     poly_gcd,
     s_pow,
@@ -68,6 +71,7 @@ from .perm import (
 from .series import TruncSeries
 
 _Z = IntLaurent({(0, 1): 1, (0, -1): -1})
+_ZERO_POLY = IntLaurent()
 _ONE_POLY = IntLaurent.from_int(1)
 
 Images = tuple[int, ...]
@@ -167,20 +171,25 @@ class HeckeElt:
             nums = _rmul_gen_poly(nums, abs(i), 1 if i > 0 else -1)
         return _elt(self.n, nums, self.den)
 
-    def pair(self, value: Callable[[Images], IntLaurent]) -> IntLaurent:
-        """The numerator over den of the functional w_pi -> value(pi) at self.
+    def pair(
+        self, value: Callable[[Images], Iterable[tuple[Hashable, IntLaurent]]]
+    ) -> dict[Hashable, IntLaurent]:
+        """The numerators over den of a keyed functional at self.
 
-        One integer accumulation of nums[pi] * value(pi) over the terms; the
-        caller reduces the result over den once.
+        value(pi) yields (key, polynomial) pairs, the coordinates of w_pi.
+        One pass over the terms, one value call per term and one integer
+        accumulation of nums[pi] * polynomial per key; the result maps each
+        key yielded to its numerator (zero if it cancels), and the caller
+        reduces each over den.
         """
-        acc: dict[tuple[int, int], int] = {}
+        acc: dict[Hashable, dict[tuple[int, int], int]] = {}
         for im, c in self.nums.items():
-            f = value(im).terms
-            for (a1, b1), k1 in c.terms.items():
-                for (a2, b2), k2 in f.items():
-                    e = (a1 + a2, b1 + b2)
-                    acc[e] = acc.get(e, 0) + k1 * k2
-        return IntLaurent(acc)
+            for key, f in value(im):
+                out = acc.get(key)
+                if out is None:
+                    out = acc[key] = {}
+                mul_into(out, c, f)
+        return {key: IntLaurent(out) for key, out in acc.items()}
 
     # -- the skein structure --------------------------------------------------------------
 
@@ -422,7 +431,8 @@ def phi_eval(x: HeckeElt, t: Scalar) -> Scalar:
     """
     if not t.den.is_one():
         raise ValueError(f"phi_eval needs a Laurent polynomial, got {t!r}")
-    return Scalar(x.pair(lambda im: (t ** len(word_of(im))).num), x.den)
+    num = x.pair(lambda im: ((0, (t ** len(word_of(im))).num),)).get(0, _ZERO_POLY)
+    return Scalar(num, x.den)
 
 
 def phi_s(x: HeckeElt) -> Scalar:

@@ -22,9 +22,12 @@ conjugacy class fixes them (Geck & Pfeiffer, Adv. Math. 102 (1993) 79-94):
 the class polynomials f_pi, found by conjugating pi by generators, give
 chi(w_pi) = sum over mu of f_pi[mu](z) chi(w_mu), where w_mu is the product
 of the Coxeter elements of mu's blocks.  Only the p(n) braids w_mu take
-their characters from seminormal matrices.  Those characters, and so the
-value on every basis braid, are Laurent polynomials in s, cached, and the
-character of x is their pairing with x (HeckeElt.pair).
+their characters from seminormal matrices; those characters are Laurent
+polynomials in s, cached per (lambda, mu).  One pairing of x with the class
+polynomials (HeckeElt.pair, keyed by mu) gives the class coordinates
+K_mu(x) = sum over pi of x_pi f_pi[mu](z), and every character of x is
+sum over mu of K_mu chi(w_mu): closure_schur computes K once for all
+shapes, and only the chi(w_mu) with K_mu nonzero are looked up.
 
 The matrices that remain (of the w_mu and their prefixes, and rep_of's for
 central_scalar) are integer Laurent numerators over one denominator: a
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .coeff import ONE, IntLaurent, Scalar, add_term, memo, over_lcm, s_pow, z
+from .coeff import ONE, IntLaurent, Scalar, add_term, memo, mul_into, over_lcm, s_pow, z
 from .hecke import HeckeElt
 from .perm import MAX_PERM_N, coxeter_rep, cycle_type, left_gen, right_gen, word_of
 from .symfun import Partition, SymFunc, check_partition, from_schur
@@ -55,11 +58,12 @@ _ONE_POLY = IntLaurent.from_int(1)
 _Z = z().num
 
 
-def partitions_of(n: int) -> Iterator[Partition]:
+@memo
+def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, largest-first within lex order."""
     if n > MAX_PERM_N:
         raise ValueError(f"n = {n} exceeds the partition bound {MAX_PERM_N}")
-    yield from _partitions(n, n)
+    return tuple(_partitions(n, n))
 
 
 def _partitions(n: int, cap: int) -> Iterator[Partition]:
@@ -262,13 +266,21 @@ def _class_character(lam: Partition, mu: Partition) -> IntLaurent:
     return value.num
 
 
-@memo
-def _basis_character(lam: Partition, images: tuple[int, ...]) -> IntLaurent:
-    """Character of the permutation braid w_pi on shape lambda."""
-    out = _ZERO_POLY
-    for mu, f in _class_poly(images).items():
-        out = out + f * _class_character(lam, mu)
-    return out
+def _class_coordinates(x: HeckeElt) -> dict[Partition, IntLaurent]:
+    """K_mu(x) = sum over pi of nums[pi] f_pi[mu](z), numerators over x.den, zeros omitted.
+
+    Every character of x is sum over mu of K_mu chi(w_mu) over x.den.
+    """
+    coords = x.pair(lambda images: _class_poly(images).items())
+    return {mu: k for mu, k in coords.items() if not k.is_zero()}
+
+
+def _character_num(coords: dict[Partition, IntLaurent], lam: Partition) -> IntLaurent:
+    """The numerator of chi_lambda(x): sum over mu of K_mu chi_lambda(w_mu)."""
+    acc: dict[tuple[int, int], int] = {}
+    for mu, k in coords.items():
+        mul_into(acc, k, _class_character(lam, mu))
+    return IntLaurent(acc)
 
 
 def character(x: HeckeElt, parts) -> Scalar:
@@ -276,20 +288,22 @@ def character(x: HeckeElt, parts) -> Scalar:
     lam = check_partition(parts)
     if sum(lam) != x.n:
         raise ValueError(f"|lambda| = {sum(lam)} but x lives in H_{x.n}")
-    return Scalar(x.pair(lambda images: _basis_character(lam, images)), x.den)
+    return Scalar(_character_num(_class_coordinates(x), lam), x.den)
 
 
 def closure_schur(x: HeckeElt) -> dict[Partition, Scalar]:
     """Schur coordinates of the closure of x: {lambda: character}, zeros omitted.
 
     closure(E_lambda) is the Schur function s_lambda, so the coefficient of
-    s_lambda in closure(x) is the character of x on lambda.
+    s_lambda in closure(x) is the character of x on lambda.  The class
+    coordinates of x are computed once for all shapes.
     """
+    coords = _class_coordinates(x)
     out = {}
     for lam in partitions_of(x.n):
-        chi = character(x, lam)
-        if not chi.is_zero():
-            out[lam] = chi
+        num = _character_num(coords, lam)
+        if not num.is_zero():
+            out[lam] = Scalar(num, x.den)
     return out
 
 

@@ -10,15 +10,17 @@ form w_pi = w_u . sigma_{n-1} sigma_{n-2} ... sigma_k:
 
 Every closed strand ends as a loop or a curl, so the number l of loops fixes
 the whole v-dependence: tr(w_pi) = sum over l of b_l(s) delta^l v^(l-n), with
-each b_l in Z[s^±].  The b_l are cached per basis braid.  The trace of x
-pairs its numerators with each b_l (HeckeElt.pair) and, as
-delta = v^{-1} (1 - v^2) / z, sums the grades into one numerator over
-z^n den by Horner's rule in 1 - v^2, reduced once.
+each b_l in Z[s^±].  The nonzero b_l are cached per basis braid as (l, b_l)
+pairs, the keyed values HeckeElt.pair takes, so the trace of x pairs its
+numerators with every grade at once and, as delta = v^{-1} (1 - v^2) / z,
+sums the grades into one numerator over z^n den by Horner's rule in
+1 - v^2, reduced once.
 
 The multiplicative evaluation on the annulus ring sends h_k to the trace of
 the k-strand row idempotent, taken from its closed form (Aiston & Morton,
-JKTR 7 (1998) 463-487) rather than from the k!-term idempotent; together
-with the character closure this gives the consistency check
+JKTR 7 (1998) 463-487) rather than from the k!-term idempotent; the terms
+of a symmetric function are brought over one denominator and reduced once.
+Together with the character closure this gives the consistency check
 markov_ev = ev_sym(closure(.)).
 
 The user-facing `homfly` rescales by the writhe and normalizes the unknot
@@ -39,7 +41,7 @@ applies these Markov moves until none fits, and expands only what is left:
 
 from __future__ import annotations
 
-from .coeff import ONE, IntLaurent, Scalar, delta, memo, s_pow, v_pow, z
+from .coeff import ONE, IntLaurent, Scalar, delta, memo, over_lcm, s_pow, v_pow, z
 from .hecke import HeckeElt, check_word, word_elt
 from .perm import Perm, coset_decompose
 from .symfun import SymFunc
@@ -51,21 +53,21 @@ _DELTA = delta()
 
 
 @memo
-def _trace_loops(images: tuple[int, ...]) -> tuple[IntLaurent, ...]:
-    """(b_0, ..., b_n) with tr(w_pi) = sum over l of b_l delta^l v^(l-n) in H_n."""
+def _trace_loops(images: tuple[int, ...]) -> tuple[tuple[int, IntLaurent], ...]:
+    """The nonzero (l, b_l), with tr(w_pi) = sum over l of b_l delta^l v^(l-n) in H_n."""
     if not images:
-        return (_ONE_POLY,)
+        return ((0, _ONE_POLY),)
     n = len(images)
     u, k = coset_decompose(Perm(images))
     if k is None:
-        return (_ZERO_POLY,) + _trace_loops(u.images)
+        return tuple((l + 1, b) for l, b in _trace_loops(u.images))
     # w_pi = w_u sigma_{n-1} (sigma_{n-2}...sigma_k); the curl's v^-1 turns
     # the tail's v^(l-n+1) into v^(l-n), so its grades carry over unchanged.
     tail = HeckeElt.basis(u).rmul_word(range(n - 2, k - 1, -1))
     if not tail.den.is_one():
         raise ArithmeticError(f"the tail of w{images} has denominator {tail.den!r}")
-    grades = tuple(tail.pair(lambda im: _trace_loops(im)[l]) for l in range(n))
-    return grades + (_ZERO_POLY,)
+    grades = sorted(tail.pair(_trace_loops).items())
+    return tuple((l, b) for l, b in grades if not b.is_zero())
 
 
 def _loop_sum(x: HeckeElt, j: int, t: int) -> Scalar:
@@ -73,12 +75,11 @@ def _loop_sum(x: HeckeElt, j: int, t: int) -> Scalar:
 
     With K_l the pairing of x with b_l and delta = v^{-1} (1 - v^2) / z, this
     is v^(t+j-n) sum over l >= j of K_l (1 - v^2)^(l-j) z^(n-l), over
-    z^(n-j) x.den; b_0 = 0 on n >= 1 strands, so there K_0 needs no pairing.
+    z^(n-j) x.den.  One pairing gives every K_l.
     """
     n = x.n
-    first = min(n, 1)
-    ks = [_ZERO_POLY] * (first - j)
-    ks += [x.pair(lambda im: _trace_loops(im)[l]) for l in range(first, n + 1)]
+    grades = x.pair(_trace_loops)
+    ks = [grades.get(l, _ZERO_POLY) for l in range(j, n + 1)]
     num, z_pow = ks.pop(), _ONE_POLY
     for k in reversed(ks):  # Horner's rule: num <- num (1 - v^2) + K_l z^(n-l)
         z_pow = z_pow * _Z
@@ -101,14 +102,20 @@ def _h_trace(k: int) -> Scalar:
 
 
 def ev_sym(f: SymFunc) -> Scalar:
-    """Plane evaluation of the annulus ring: h_k -> markov_ev(h_idem(k)), in closed form."""
-    out = Scalar.from_int(0)
+    """Plane evaluation of the annulus ring: h_k -> markov_ev(h_idem(k)), in closed form.
+
+    Each term c prod _h_trace(k) is one fraction; the fractions are brought
+    over one lcm, their numerators added and the sum reduced once.
+    """
+    fracs = []
     for parts, c in f.terms.items():
-        val = c
+        num, den = c.num, c.den
         for k in parts:
-            val = val * _h_trace(k)
-        out = out + val
-    return out
+            h = _h_trace(k)
+            num, den = num * h.num, den * h.den
+        fracs.append((num, den))
+    nums, den = over_lcm(fracs)
+    return Scalar(sum(nums, _ZERO_POLY), den)
 
 
 def homfly(n: int, word: list[int]) -> Scalar:

@@ -12,7 +12,10 @@ basis braid and one Scalar sum per term, never HeckeElt.pair.
 The seminormal character oracle is the slow route to a character: the
 Scalar matrix of every basis braid, a product of seminormal generator
 matrices along its reduced word, and the Scalar sum of its diagonal, never
-a class polynomial.
+a class polynomial.  The per-basis-braid character oracle is the route the
+library took before class coordinates: each basis braid's own class
+polynomial paired with the minimal braids' characters, summed term by term
+in Scalars.
 
 The dense psi and Murphy-series oracles are the slow route through dense
 HeckeElt products and Hecke-valued series (geometric, scale_t, inverse),
@@ -35,13 +38,15 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 
-from heckeskein.coeff import ONE, Scalar, add_term, delta, s_pow, v_pow
+from heckeskein.coeff import ONE, IntLaurent, Scalar, add_term, delta, s_pow, v_pow
 from heckeskein.hecke import HeckeElt, word_elt
 from heckeskein.perm import Perm, coset_decompose, length, right_gen, word_of
-from heckeskein.repn import rho, std_tableaux
+from heckeskein.repn import _class_character, _class_poly, rho, std_tableaux
 from heckeskein.series import TruncSeries, geometric
 from heckeskein.symfun import SymFunc, power_sum, to_p
 from heckeskein.trace import ev_sym
+
+_L_ONE = IntLaurent.from_int(1)
 
 
 def h_value(k: int, xs: list[Fraction]) -> Fraction:
@@ -216,6 +221,22 @@ def seminormal_character(lam: tuple[int, ...], images: tuple[int, ...]) -> Scala
     out = Scalar.from_int(0)
     for r, row in enumerate(seminormal_matrix(lam, images)):
         out = out + row.get(r, Scalar.from_int(0))
+    return out
+
+
+def basis_character(lam: tuple[int, ...], images: tuple[int, ...]) -> Scalar:
+    """Character of w_pi on lambda: sum over mu of f_pi[mu] chi_lambda(w_mu)."""
+    out = Scalar.from_int(0)
+    for mu, f in _class_poly(images).items():
+        out = out + Scalar(f * _class_character(lam, mu), _L_ONE)
+    return out
+
+
+def character_by_basis(x: HeckeElt, lam: tuple[int, ...]) -> Scalar:
+    """Character of x on lambda, summed term by term over its basis braids."""
+    out = Scalar.from_int(0)
+    for p, c in x.terms.items():
+        out = out + c * basis_character(lam, p.images)
     return out
 
 

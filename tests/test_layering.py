@@ -127,15 +127,35 @@ def test_every_memo_table_is_bounded_and_cleared():
 
 
 def test_memo_bound_holds_the_largest_key_space():
-    # repn._basis_character keys one entry per (lambda |- k, basis braid of
-    # H_k) for k <= MAX_PERM_N; every other braid- or partition-keyed table
-    # has fewer keys, so none of them evicts.
+    # Within the bound k <= MAX_PERM_N every table but the gcd table has a
+    # finite key space: strand counts or degrees, basis braids of H_k,
+    # partitions of k, or pairs of them.  The largest is repn._basis_matrix's,
+    # one entry per (lambda |- k, basis braid of H_k), since rep_of reaches
+    # every basis braid; it fits, so none of them evicts.  The gcd table is
+    # keyed by pairs of polynomials and drops its least recently used pairs.
     from math import factorial
 
     from heckeskein.coeff import MEMO_SIZE
     from heckeskein.perm import MAX_PERM_N
     from heckeskein.repn import partitions_of
+    from oracles import memo_tables
 
-    keys = sum(len(list(partitions_of(k))) * factorial(k) for k in range(MAX_PERM_N + 1))
-    assert keys == 971544
-    assert MEMO_SIZE >= keys
+    ks = range(MAX_PERM_N + 1)
+    p = [len(partitions_of(k)) for k in ks]
+    braids = sum(factorial(k) for k in ks)
+    shapes = sum(p)
+    spaces = {
+        **dict.fromkeys(
+            ["identity", "partitions_of", "power_sum", "elementary", "_h_trace"], len(ks)
+        ),
+        **dict.fromkeys(["word_of", "_mirror_basis", "_class_poly", "_trace_loops"], braids),
+        **dict.fromkeys(["std_tableaux", "_schur_terms", "_p_monomial"], shapes),
+        **dict.fromkeys(["_gen_matrix", "_gen_nums"], sum(p[k] * max(k - 1, 0) for k in ks)),
+        "_class_character": sum(c * c for c in p),
+        "_basis_matrix": sum(p[k] * factorial(k) for k in ks),
+        "_psi_p": len(ks) * shapes,  # (strands, a partition as prefix)
+    }
+    assert spaces.keys() | {"_gcd_cached"} == {t.__name__ for t in memo_tables()}
+    largest = max(spaces, key=spaces.get)
+    assert (largest, spaces[largest]) == ("_basis_matrix", 971544)
+    assert MEMO_SIZE >= spaces[largest]
