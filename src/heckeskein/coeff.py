@@ -34,9 +34,8 @@ from functools import lru_cache
 
 ExpPair = tuple[int, int]  # (e_v, e_s)
 
-# The largest key space is one entry per pair (partition of k, basis braid
-# of H_k) for k <= 8, as in repn._basis_matrix, which rep_of reaches on any
-# basis braid: sum p(k) k! = 971544.
+# The largest key space is one entry per basis braid of H_k for k <= 8, as
+# in perm.word_of or repn._class_poly: sum k! = 46234.
 MEMO_SIZE = 1 << 20
 memo = lru_cache(maxsize=MEMO_SIZE)
 

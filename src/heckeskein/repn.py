@@ -16,23 +16,31 @@ The construction is pinned by two computational facts checked in the test
 suite: the defining braid/quadratic relations hold, and every Murphy braid
 T(j) acts diagonally with eigenvalues s^(2 * content of the cell of j).
 
-A character is the linear functional sending w_pi to the trace of its
-matrix.  Characters are trace functions, so one minimal-length braid per
-conjugacy class fixes them (Geck & Pfeiffer, Adv. Math. 102 (1993) 79-94):
-the class polynomials f_pi, found by conjugating pi by generators, give
+A character is a trace function, so one minimal-length braid per conjugacy
+class fixes it (Geck & Pfeiffer, Adv. Math. 102 (1993) 79-94): the class
+polynomials f_pi, found by conjugating pi by generators, give
 chi(w_pi) = sum over mu of f_pi[mu](z) chi(w_mu), where w_mu is the product
-of the Coxeter elements of mu's blocks.  Only the p(n) braids w_mu take
-their characters from seminormal matrices; those characters are Laurent
-polynomials in s, cached per (lambda, mu).  One pairing of x with the class
+of the Coxeter elements of mu's blocks.  One pairing of x with the class
 polynomials (HeckeElt.pair, keyed by mu) gives the class coordinates
 K_mu(x) = sum over pi of x_pi f_pi[mu](z), and every character of x is
 sum over mu of K_mu chi(w_mu): closure_schur computes K once for all
 shapes, and only the chi(w_mu) with K_mu nonzero are looked up.
 
-The matrices that remain (of the w_mu and their prefixes, and rep_of's for
-central_scalar) are integer Laurent numerators over one denominator: a
-product of generator numerators along a reduced word, reduced once at the
-end rather than by a gcd per entry product.
+The characters chi_lambda(w_mu), Laurent polynomials in s cached per
+(lambda, mu), come from the q-Murnaghan-Nakayama rule (Ram, Invent. Math.
+106 (1991) 461-488) and need no matrix.  With T = s sigma, so that
+(T - q)(T + 1) = 0 for q = s^2, a block of k strands is a word of k - 1
+letters, and peeling the last part k of mu gives
+chi_lambda(w_mu) = sum over nu of wt(lambda/nu) s^(1-k) chi_nu(w_mu'),
+chi of the empty shape being 1.  The sum runs over the nu inside lambda for
+which lambda/nu has k cells and no 2x2 block; with rows its nonempty rows
+and links the pairs of adjacent rows that share a column,
+wt = (-1)^links q^(k - rows) (q - 1)^(rows - links - 1).
+
+A central element acts on each irreducible module by a scalar (Schur's
+lemma), so central_scalar is its character over the dimension.  rho and
+rep_of, the seminormal matrices, are a reference for the tests: no
+character or central scalar is computed from them.
 
 Closure into the annulus ring is the character-weighted sum of Schur
 functions, so the Schur coordinates of a closure are its characters
@@ -42,18 +50,17 @@ with the Markov trace is an independent check.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator
 
-from .coeff import ONE, IntLaurent, Scalar, add_term, memo, mul_into, over_lcm, s_pow, z
+from .coeff import ONE, IntLaurent, Scalar, add_term, memo, mul_into, s_pow, z
 from .hecke import HeckeElt
-from .perm import MAX_PERM_N, coxeter_rep, cycle_type, left_gen, right_gen, word_of
+from .perm import MAX_PERM_N, cycle_type, left_gen, right_gen, word_of
 from .symfun import Partition, SymFunc, check_partition, from_schur
 
 Tableau = tuple[tuple[int, ...], ...]
 Matrix = list[dict[int, Scalar]]
-NumMatrix = list[dict[int, IntLaurent]]
 
-_ZERO_POLY = IntLaurent()
 _ONE_POLY = IntLaurent.from_int(1)
 _Z = z().num
 
@@ -112,9 +119,13 @@ def content_of(t: Tableau, entry: int) -> int:
     return c - r
 
 
-@memo
-def _gen_matrix(parts: Partition, i: int) -> Matrix:
-    tabs = std_tableaux(parts)
+def rho(parts, i: int) -> Matrix:
+    """The seminormal matrix of sigma_i on shape lambda."""
+    lam = check_partition(parts)
+    n = sum(lam)
+    if not (1 <= i <= n - 1):
+        raise ValueError(f"generator index {i} out of range for |lambda| = {n}")
+    tabs = std_tableaux(lam)
     index = {t: k for k, t in enumerate(tabs)}
     dim = len(tabs)
     rows: Matrix = [dict() for _ in range(dim)]
@@ -147,71 +158,31 @@ def _swap_entries(t: Tableau, i: int) -> Tableau:
     return tuple(tuple(swap.get(v, v) for v in row) for row in t)
 
 
-def rho(parts, i: int) -> Matrix:
-    """The seminormal matrix of sigma_i on shape lambda (cached; do not mutate)."""
-    lam = check_partition(parts)
-    n = sum(lam)
-    if not (1 <= i <= n - 1):
-        raise ValueError(f"generator index {i} out of range for |lambda| = {n}")
-    return _gen_matrix(lam, i)
-
-
-# -- matrices over one denominator ---------------------------------------------
-
-
-@memo
-def _gen_nums(lam: Partition, i: int) -> tuple[NumMatrix, IntLaurent]:
-    """rho(lam, i) as integer numerators over the lcm of its denominators."""
-    rows = rho(lam, i)
-    flat, den = over_lcm((c.num, c.den) for row in rows for c in row.values())
-    entries = iter(flat)
-    return [{j: next(entries) for j in row} for row in rows], den
-
-
-@memo
-def _basis_matrix(lam: Partition, images: tuple[int, ...]) -> tuple[NumMatrix, IntLaurent]:
-    """Matrix of the permutation braid w_pi as numerators over one denominator.
-
-    Built along the reduced word, w_pi = w_{pi s_i} sigma_i for its last
-    letter i: numerators times the generator's numerators, denominators
-    multiplied, no gcd.
-    """
-    word = word_of(images)
-    if not word:
-        return [{k: _ONE_POLY} for k in range(len(std_tableaux(lam)))], _ONE_POLY
-    i = word[-1]
-    rows, den = _basis_matrix(lam, right_gen(images, i))
-    gen, gen_den = _gen_nums(lam, i)
-    out: NumMatrix = [dict() for _ in rows]
-    for target, row in zip(out, rows):
-        for k, c in row.items():
-            for j, d in gen[k].items():
-                add_term(target, j, c * d)
-    return out, den * gen_den
-
-
 def rep_of(x: HeckeElt, parts) -> Matrix:
     """Matrix of x on the shape lambda (|lambda| = strand count).
 
-    The terms are summed as numerators over one denominator, the product of
-    two lcms: of the coefficients' denominators and of the matrices', which
-    lie in Z[s].  Each entry is reduced once by the matrices' lcm, then
-    divided by the coefficients', so no gcd meets both at once.
+    The reference route: each term is c times the product of rho(lambda, i)
+    along the reduced word of pi.  No library path calls it.
     """
     lam = check_partition(parts)
     if sum(lam) != x.n:
         raise ValueError(f"|lambda| = {sum(lam)} but x lives in H_{x.n}")
-    terms = [(c, *_basis_matrix(lam, p.images)) for p, c in x.terms.items()]
-    c_nums, c_den = over_lcm((c.num, c.den) for c, _, _ in terms)
-    m_nums, m_den = over_lcm((_ONE_POLY, d) for _, _, d in terms)
-    acc: NumMatrix = [dict() for _ in range(len(std_tableaux(lam)))]
-    for (_, rows, _), kc, km in zip(terms, c_nums, m_nums):
-        k = kc * km
+    gens = {i: rho(lam, i) for i in range(1, x.n)}
+    dim = len(std_tableaux(lam))
+    acc: Matrix = [dict() for _ in range(dim)]
+    for p, c in x.terms.items():
+        rows: Matrix = [{k: c} for k in range(dim)]
+        for i in word_of(p.images):
+            out: Matrix = [dict() for _ in rows]
+            for target, row in zip(out, rows):
+                for k, e in row.items():
+                    for j, g in gens[i][k].items():
+                        add_term(target, j, e * g)
+            rows = out
         for target, row in zip(acc, rows):
             for j, e in row.items():
-                add_term(target, j, e * k)
-    inv = Scalar(_ONE_POLY, c_den)
-    return [{j: Scalar(e, m_den) * inv for j, e in row.items()} for row in acc]
+                add_term(target, j, e)
+    return acc
 
 
 # -- characters from class polynomials ----------------------------------------
@@ -253,17 +224,37 @@ def _class_poly(images: tuple[int, ...]) -> dict[Partition, IntLaurent]:
 
 @memo
 def _class_character(lam: Partition, mu: Partition) -> IntLaurent:
-    """Character of the minimal braid w_mu on shape lambda, a polynomial in s."""
-    rows, den = _basis_matrix(lam, coxeter_rep(mu))
-    trace = _ZERO_POLY
-    for r, row in enumerate(rows):
-        trace = trace + row.get(r, _ZERO_POLY)
-    value = Scalar(trace, den)
-    if not value.den.is_one():
-        raise ArithmeticError(
-            f"character of w_{mu} on {lam} is not a polynomial: {value!r}"
-        )
-    return value.num
+    """Character of the minimal braid w_mu on shape lambda, by Ram's rule."""
+    if not mu:
+        return _ONE_POLY
+    k, rest = mu[-1], mu[:-1]
+    acc: dict[tuple[int, int], int] = {}
+    for nu in _broken_strips(lam, k):
+        rows = sum(part > v for part, v in zip(lam, nu))
+        links = sum(lam[i] - nu[i - 1] == 1 for i in range(1, len(lam)))
+        # (-1)^links q^(k - rows) (q - 1)^m s^(1 - k), q = s^2, expanded in s
+        m, e = rows - links - 1, k + 1 - 2 * rows
+        wt = IntLaurent({(0, e + 2 * j): (-1) ** (links + m - j) * comb(m, j)
+                         for j in range(m + 1)})
+        mul_into(acc, wt, _class_character(tuple(v for v in nu if v), rest))
+    return IntLaurent(acc)
+
+
+def _broken_strips(lam: Partition, k: int, i: int = 0) -> Iterator[tuple[int, ...]]:
+    """Rows i onward of each nu inside lam with |lam/nu| = k and no 2x2 block.
+
+    Rows i and i+1 of lam/nu share lam[i+1] - nu[i] columns, so two or more
+    shared columns (a 2x2 block) are ruled out by nu[i] >= lam[i+1] - 1.
+    """
+    if i == len(lam):
+        if k == 0:
+            yield ()
+        return
+    below = lam[i + 1] if i + 1 < len(lam) else 0
+    for v in range(max(below - 1, lam[i] - k, 0), lam[i] + 1):
+        for tail in _broken_strips(lam, k - lam[i] + v, i + 1):
+            if not tail or tail[0] <= v:
+                yield (v,) + tail
 
 
 def _class_coordinates(x: HeckeElt) -> dict[Partition, IntLaurent]:
@@ -317,17 +308,11 @@ def closure(x: HeckeElt) -> SymFunc:
 
 
 def central_scalar(x: HeckeElt, parts) -> Scalar:
-    """The scalar by which a central element acts on the shape lambda."""
+    """The scalar by which a central element acts on the shape lambda.
+
+    By Schur's lemma it is the character over the dimension.
+    """
     lam = check_partition(parts)
     if not x.is_central():
         raise ValueError("element is not central")
-    m = rep_of(x, lam)
-    dim = len(std_tableaux(lam))
-    value = m[0].get(0, Scalar.from_int(0)) if dim else Scalar.from_int(0)
-    for r, row in enumerate(m):
-        for j, c in row.items():
-            if r != j:
-                raise ValueError("central element acted non-diagonally")
-        if row.get(r, Scalar.from_int(0)) != value:
-            raise ValueError("central element acted non-scalarly")
-    return value
+    return character(x, lam) * Scalar.from_fraction(1, len(std_tableaux(lam)))

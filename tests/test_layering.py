@@ -112,7 +112,7 @@ def test_every_memo_table_is_bounded_and_cleared():
         and any(isinstance(d, ast.Name) and d.id == "memo" for d in node.decorator_list)
     )
     tables = memo_tables()
-    assert len(decorated) == 18
+    assert len(decorated) == 15
     assert sorted(t.__name__ for t in tables) == decorated
     assert all(t.cache_parameters()["maxsize"] == MEMO_SIZE for t in tables)
 
@@ -129,10 +129,10 @@ def test_every_memo_table_is_bounded_and_cleared():
 def test_memo_bound_holds_the_largest_key_space():
     # Within the bound k <= MAX_PERM_N every table but the gcd table has a
     # finite key space: strand counts or degrees, basis braids of H_k,
-    # partitions of k, or pairs of them.  The largest is repn._basis_matrix's,
-    # one entry per (lambda |- k, basis braid of H_k), since rep_of reaches
-    # every basis braid; it fits, so none of them evicts.  The gcd table is
-    # keyed by pairs of polynomials and drops its least recently used pairs.
+    # partitions of k, or pairs of them.  The largest are the braid-keyed
+    # tables', one entry per basis braid of H_k; they fit, so none of them
+    # evicts.  The gcd table is keyed by pairs of polynomials and drops its
+    # least recently used pairs.
     from math import factorial
 
     from heckeskein.coeff import MEMO_SIZE
@@ -150,12 +150,13 @@ def test_memo_bound_holds_the_largest_key_space():
         ),
         **dict.fromkeys(["word_of", "_mirror_basis", "_class_poly", "_trace_loops"], braids),
         **dict.fromkeys(["std_tableaux", "_schur_terms", "_p_monomial"], shapes),
-        **dict.fromkeys(["_gen_matrix", "_gen_nums"], sum(p[k] * max(k - 1, 0) for k in ks)),
         "_class_character": sum(c * c for c in p),
-        "_basis_matrix": sum(p[k] * factorial(k) for k in ks),
         "_psi_p": len(ks) * shapes,  # (strands, a partition as prefix)
     }
     assert spaces.keys() | {"_gcd_cached"} == {t.__name__ for t in memo_tables()}
-    largest = max(spaces, key=spaces.get)
-    assert (largest, spaces[largest]) == ("_basis_matrix", 971544)
-    assert MEMO_SIZE >= spaces[largest]
+    largest = max(spaces.values())
+    assert {t for t, size in spaces.items() if size == largest} == {
+        "word_of", "_mirror_basis", "_class_poly", "_trace_loops"
+    }
+    assert (largest, spaces["_class_character"]) == (46234, 919)
+    assert MEMO_SIZE >= largest

@@ -25,9 +25,19 @@ from heckeskein.repn import (
     rho,
     std_tableaux,
 )
-from heckeskein.repn import _class_poly
-from heckeskein.symfun import SymFunc, closed_braid_A, complete, schur, to_schur
-from oracles import mat_identity, mat_mul, seminormal_character
+from heckeskein.psi import psi
+from heckeskein.repn import _class_character, _class_poly
+from heckeskein.symfun import (
+    SymFunc,
+    closed_braid_A,
+    complete,
+    elementary,
+    power_sum,
+    schur,
+    to_p,
+    to_schur,
+)
+from oracles import mat_identity, mat_mul, memo_clear, seminormal_character
 
 
 def rand_elt(rng, n, terms=3):
@@ -155,6 +165,40 @@ def test_closure_of_a_minimal_braid_is_the_product_of_A():
             assert closure(HeckeElt.basis(Perm(coxeter_rep(mu)))) == expected
 
 
+def test_ram_rule_matches_the_seminormal_oracle():
+    one = IntLaurent.from_int(1)
+    for n in range(8):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                assert Scalar(_class_character(lam, mu), one) == seminormal_character(
+                    lam, coxeter_rep(mu)
+                )
+
+
+def test_ram_rule_at_s_1_is_the_frobenius_character():
+    # at s = 1, H_n is the group algebra, and chi_lambda(mu) is z_mu times
+    # the coefficient of p_mu in s_lambda
+    for n in range(7):
+        for lam in partitions_of(n):
+            coords = to_p(schur(lam))
+            for mu in partitions_of(n):
+                z_mu = math.prod(
+                    part ** mu.count(part) * math.factorial(mu.count(part))
+                    for part in set(mu)
+                )
+                at_one = sum(_class_character(lam, mu).terms.values())
+                expected = coords.get(mu, Scalar.from_int(0)).int_mul(z_mu)
+                assert Scalar.from_int(at_one) == expected
+
+
+def test_ram_rule_on_the_identity_counts_tableaux():
+    for n in range(9):
+        for lam in partitions_of(n):
+            assert _class_character(lam, (1,) * n) == IntLaurent.from_int(
+                len(std_tableaux(lam))
+            )
+
+
 def test_class_poly_of_a_minimal_braid_is_its_class():
     for n in range(7):
         for mu in partitions_of(n):
@@ -259,6 +303,39 @@ def test_central_scalar():
             assert central_scalar(HeckeElt.identity(n), lam) == ONE
     with pytest.raises(ValueError):
         central_scalar(word_elt(3, [1]), (2, 1))
+
+
+def test_central_scalar_is_the_diagonal_of_rep_of():
+    elems = [complete(2), elementary(2) * power_sum(1), schur((2, 1)), power_sum(3)]
+    for n in range(1, 5):
+        for x in [t_circle(n)] + [psi(n, f) for f in elems]:
+            for lam in partitions_of(n):
+                c = central_scalar(x, lam)
+                dim = len(std_tableaux(lam))
+                assert rep_of(x, lam) == [{k: c} if c else {} for k in range(dim)]
+
+
+def test_characters_and_central_scalars_need_no_matrix(monkeypatch):
+    from heckeskein import repn
+
+    words = {3: [1, 2, 1], 4: [1, -2, 3, 1], 5: [1, -2, 3, -4, 2, 1]}
+    ns = range(1, 6)
+    expected = (
+        [cli.cmd_characters(n) for n in ns],
+        [closure_schur(word_elt(n, w)) for n, w in words.items()],
+        [central_scalar(t_circle(n), lam) for n in ns for lam in partitions_of(n)],
+    )
+
+    def forbidden(parts, i):
+        raise AssertionError("rho called")
+
+    memo_clear()
+    monkeypatch.setattr(repn, "rho", forbidden)
+    assert (
+        [cli.cmd_characters(n) for n in ns],
+        [closure_schur(word_elt(n, w)) for n, w in words.items()],
+        [central_scalar(t_circle(n), lam) for n in ns for lam in partitions_of(n)],
+    ) == expected
 
 
 def test_t_lambda_closed_form_and_distinct():
