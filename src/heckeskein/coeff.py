@@ -7,13 +7,17 @@ fraction field of the Laurent ring: every scalar is a quotient of two integer
 Laurent polynomials, kept in a canonical reduced form so that equality is
 plain structural equality.
 
-Canonical form of a quotient num/den:
+Canonical form of numerators over one denominator den:
 
-* num and den share no non-unit polynomial factor,
+* no non-unit polynomial factor of den divides every numerator,
 * den is a genuine polynomial (no negative exponents) with no monomial
   factor v or s left in it,
 * the lexicographically greatest term of den (by (e_v, e_s)) has positive
   coefficient.
+
+`normal_form` is the one routine that brings numerators over a denominator
+to this form, for a Scalar (one numerator) and a Hecke element (one per
+basis braid) alike.
 
 This module also keeps the package's one memo policy: every table of
 values the package caches (per basis braid, per partition, or the gcd of a
@@ -424,12 +428,7 @@ def _strip_monomial(p: IntLaurent) -> IntLaurent:
 
 def canon_poly_part(p: IntLaurent) -> IntLaurent:
     """Strip the monomial factor and sign-normalize; 0 stays 0."""
-    if p.is_zero():
-        return p
-    q = _strip_monomial(p)
-    if q.lex_leading()[1] < 0:
-        q = -q
-    return q
+    return _unit({}, p)[1] if p.terms else p
 
 
 def laurent_divexact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
@@ -500,6 +499,35 @@ def _gcd_cached(f: IntLaurent, g: IntLaurent) -> IntLaurent:
     return poly_gcd(f, g)
 
 
+def normal_form(nums: dict, den: IntLaurent) -> tuple[dict, IntLaurent]:
+    """Canonical form of the nonzero numerators nums over a nonzero den.
+
+    The gcd of den and every numerator is divided out, then the unit.  The
+    keys of nums are kept; with no numerators the result is ({}, 1).
+    """
+    if not nums:
+        return {}, _L_ONE
+    g = den
+    for c in nums.values():
+        if g.is_one():
+            break
+        g = _gcd_cached(g, c)
+    if not g.is_one():
+        den = laurent_divexact(den, g)
+        nums = {k: laurent_divexact(c, g) for k, c in nums.items()}
+    return _unit(nums, den)
+
+
+def _unit(nums: dict, den: IntLaurent) -> tuple[dict, IntLaurent]:
+    """Strip den's monomial factor and make its lex-leading coefficient positive."""
+    mv, ms = den.min_exponents()
+    sign = -1 if den.lex_leading()[1] < 0 else 1
+    if mv or ms or sign < 0:
+        den = den.shift(-mv, -ms).int_mul(sign)
+        nums = {k: c.shift(-mv, -ms).int_mul(sign) for k, c in nums.items()}
+    return nums, den
+
+
 # ---------------------------------------------------------------------------
 # Scalars: canonical fractions of Laurent polynomials.
 # ---------------------------------------------------------------------------
@@ -513,9 +541,8 @@ class Scalar:
     def __init__(self, num: IntLaurent, den: IntLaurent):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
+        nums, self.den = normal_form({0: num} if num.terms else {}, den)
+        self.num = nums.get(0, _L_ZERO)
 
     # Internal: build without reduction when num/den already canonical.
     @staticmethod
@@ -569,15 +596,7 @@ class Scalar:
             return self
         b, d = self.den, other.den
         if b.terms == d.terms:
-            t = self.num + other.num
-            if t.is_zero():
-                return ZERO
-            if b.is_one():
-                return Scalar._raw(t, b)
-            g1 = _gcd_cached(t, b)
-            if g1.is_one():
-                return Scalar._raw(t, b)
-            return Scalar(laurent_divexact(t, g1), laurent_divexact(b, g1))
+            return Scalar(self.num + other.num, b)
         g0 = _L_ONE if (b.is_one() or d.is_one()) else _gcd_cached(b, d)
         if g0.is_one():
             t = self.num * d + other.num * b
@@ -683,45 +702,16 @@ def _poly_json(p: IntLaurent) -> list:
     return [[a, b, str(c)] for (a, b), c in sorted(p.terms.items())]
 
 
-def _reduce(num: IntLaurent, den: IntLaurent) -> tuple[IntLaurent, IntLaurent]:
-    if num.is_zero():
-        return _L_ZERO, _L_ONE
-    if den.is_monomial():
-        num, den = _divide_int_content(num, den)
-    else:
-        g = _gcd_cached(num, den)
-        if not g.is_one():
-            num = laurent_divexact(num, g)
-            den = laurent_divexact(den, g)
-    return _unit_normalize(num, den)
-
-
 def _normalize_coprime(num: IntLaurent, den: IntLaurent) -> Scalar:
     """Normalize when num/den are known coprime up to units and contents."""
     if num.is_zero():
         return ZERO
-    num, den = _unit_normalize(*_divide_int_content(num, den))
-    return Scalar._raw(num, den)
-
-
-def _divide_int_content(num: IntLaurent, den: IntLaurent) -> tuple[IntLaurent, IntLaurent]:
-    """Divide num and den by the gcd of their integer contents."""
     g = math.gcd(num.int_content(), den.int_content())
     if g > 1:
         num = IntLaurent({e: c // g for e, c in num.terms.items()})
         den = IntLaurent({e: c // g for e, c in den.terms.items()})
-    return num, den
-
-
-def _unit_normalize(num: IntLaurent, den: IntLaurent) -> tuple[IntLaurent, IntLaurent]:
-    mv, ms = den.min_exponents()
-    if mv or ms:
-        den = den.shift(-mv, -ms)
-        num = num.shift(-mv, -ms)
-    if den.lex_leading()[1] < 0:
-        den = -den
-        num = -num
-    return num, den
+    nums, den = _unit({0: num}, den)
+    return Scalar._raw(nums[0], den)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ valid because lengths are additive along reduced words.
 sigma_i^{±1} acts on the numerators by a matrix invertible over
 Z[s^{±1}], so braid words keep the form canonical.  Sums, scalings and
 psi's sums go through `lincomb`, normalised once; products and the mirror
-map renormalise once too.  Normalising is _normal: a gcd of den folded
-over the numerators, then the unit.
+map renormalise once too.  Normalising is coeff.normal_form, the same
+routine that reduces a Scalar: a gcd of den folded over the numerators
+through the shared gcd table, then the unit.
 
 Polynomials in the commuting Murphy braids T(j) (power sums, the Murphy
 series) are built without dense products: the braid word of T(j) acts on
@@ -49,11 +50,10 @@ from .coeff import (
     Scalar,
     add_term,
     delta,
-    laurent_divexact,
     memo,
     mul_into,
+    normal_form,
     over_lcm,
-    poly_gcd,
     s_pow,
     v_pow,
     z,
@@ -161,7 +161,7 @@ class HeckeElt:
             for i in word_of(rho):
                 cur = _rmul_gen_poly(cur, i, +1)
             _iadd(acc, c_rho, cur)
-        return _normal(self.n, acc, self.den * other.den)
+        return _elt(self.n, *normal_form(acc, self.den * other.den))
 
     def rmul_word(self, word) -> HeckeElt:
         """self * sigma_{|i|}^{sign(i)} over the letters i of a braid word."""
@@ -205,7 +205,7 @@ class HeckeElt:
         acc: PolyTerms = {}
         for images, c in self.nums.items():
             _iadd(acc, c.mirror(), _mirror_basis(images))
-        return _normal(self.n, acc, self.den.mirror())
+        return _elt(self.n, *normal_form(acc, self.den.mirror()))
 
     def is_central(self) -> bool:
         return all(
@@ -261,7 +261,7 @@ def lincomb(n: int, pairs) -> HeckeElt:
     acc: PolyTerms = {}
     for nums, k in zip(elts, ks):
         _iadd(acc, k, nums)
-    return _normal(n, acc, den)
+    return _elt(n, *normal_form(acc, den))
 
 
 def _iadd(acc: PolyTerms, k: IntLaurent, nums: PolyTerms) -> None:
@@ -270,27 +270,6 @@ def _iadd(acc: PolyTerms, k: IntLaurent, nums: PolyTerms) -> None:
         return
     for im, c in nums.items():
         add_term(acc, im, c * k)
-
-
-def _normal(n: int, nums: PolyTerms, den: IntLaurent) -> HeckeElt:
-    """Canonical form of (1/den) * nums, for any nonzero den."""
-    if not nums:
-        return _elt(n, {}, _ONE_POLY)
-    g = den
-    for c in nums.values():
-        if g.is_one():
-            break
-        g = poly_gcd(g, c)
-    if not g.is_one():
-        den = laurent_divexact(den, g)
-        nums = {im: laurent_divexact(c, g) for im, c in nums.items()}
-    # the unit: strip den's monomial factor and make its lex-leading term positive
-    mv, ms = den.min_exponents()
-    sign = -1 if den.lex_leading()[1] < 0 else 1
-    if mv or ms or sign < 0:
-        den = den.shift(-mv, -ms).int_mul(sign)
-        nums = {im: c.shift(-mv, -ms).int_mul(sign) for im, c in nums.items()}
-    return _elt(n, nums, den)
 
 
 def _rmul_gen_poly(terms: PolyTerms, i: int, sign: int) -> PolyTerms:
@@ -470,7 +449,7 @@ def add_power_sum_T(x: HeckeElt, m: int, a: Scalar, c: Scalar) -> HeckeElt:
     acc: PolyTerms = {}
     _iadd(acc, ka, x.nums)
     _iadd(acc, kc, murphy)
-    return _normal(x.n, acc, x.den * ell)
+    return _elt(x.n, *normal_form(acc, x.den * ell))
 
 
 def murphy_series(n: int, order: int) -> TruncSeries:
@@ -508,7 +487,7 @@ def murphy_series_times(
             _iadd(d, kb, shifted)  # d_k, in place
             prev = dict(d)
             _iadd(d, ka, shifted)  # c_k
-    out = [_normal(n, c, d) for c, d in zip(coeffs, dens)]
+    out = [_elt(n, *normal_form(c, d)) for c, d in zip(coeffs, dens)]
     for c in out[1:]:
         if not c.is_central():
             raise AssertionError("Murphy series coefficient is not central")

@@ -117,16 +117,6 @@ def word_of(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reduced_word(Perm(images)))
 
 
-def word_to_perm(n: int, word: list[int]) -> Perm:
-    """Product of adjacent transpositions s_{w_1} ... s_{w_k} in S_n."""
-    images = tuple(range(1, n + 1))
-    for i in word:
-        if not (1 <= i <= n - 1):
-            raise ValueError(f"generator index {i} out of range for S_{n}")
-        images = right_gen(images, i)
-    return Perm(images)
-
-
 def cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
     """The cycle lengths of the permutation, largest first."""
     seen = [False] * len(images)
@@ -140,21 +130,6 @@ def cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
         if size:
             out.append(size)
     return tuple(sorted(out, reverse=True))
-
-
-def coxeter_rep(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """One-line images of the product of the blocks' Coxeter elements.
-
-    The blocks are consecutive runs of parts[0], parts[1], ... strands, and
-    the block on strands a..a+m-1 contributes s_{a+m-2} ... s_a, an m-cycle.
-    The product has cycle type parts and length sum(parts) - len(parts), the
-    least in its conjugacy class.
-    """
-    word, a = [], 1
-    for m in parts:
-        word += range(a + m - 2, a - 1, -1)
-        a += m
-    return word_to_perm(a - 1, word).images
 
 
 def all_perms(n: int) -> Iterator[Perm]:

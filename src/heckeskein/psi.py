@@ -28,7 +28,7 @@ import re
 
 from .coeff import Scalar, memo, s_pow, v_pow
 from .hecke import HeckeElt, add_power_sum_T, lincomb, murphy_series_times
-from .repn import central_scalar, content_of, std_tableaux
+from .repn import central_scalar
 from .series import TruncSeries
 from .symfun import (
     SymFunc,
@@ -89,21 +89,22 @@ def psi_eigen_check(n: int, f: SymFunc, parts) -> bool:
     """Cross-check the eigenvalue of psi(n, f) on the shape lambda.
 
     The left side runs through the representation machinery; the right side
-    substitutes P_m -> psi_0(P_m) + (s^m - s^{-m}) v^{-m} sum s^{2m*content}
+    substitutes P_m -> psi_0(P_m) + (s^m - s^{-m}) v^{-m} sum s^{2m*content},
+    summed over the cells of lambda (content c - r in column c, row r),
     directly into the power-sum expansion of f.
     """
     lam = check_partition(parts)
     if sum(lam) != n:
         raise ValueError(f"|lambda| = {sum(lam)} but n = {n}")
     lhs = central_scalar(psi(n, f), lam)
-    tab = std_tableaux(lam)[0]
+    contents = [c - r for r, row in enumerate(lam) for c in range(row)]
     rhs = Scalar.from_int(0)
     for p, c in to_p(f).items():
         val = c
         for m in p:
             csum = Scalar.from_int(0)
-            for j in range(1, n + 1):
-                csum = csum + s_pow(2 * m * content_of(tab, j))
+            for k in contents:
+                csum = csum + s_pow(2 * m * k)
             val = val * (
                 ev_sym(power_sum(m)) + (s_pow(m) - s_pow(-m)) * v_pow(-m) * csum
             )

@@ -28,6 +28,9 @@ symmetric function rebuilt from its power-sum coordinates as products of
 power sums (the check on to_p).
 
 The Coxeter length oracle is the inversion count, never a reduced word.
+A permutation is rebuilt from a word of adjacent transpositions
+(word_to_perm), and coxeter_rep gives a minimal-length element of each
+conjugacy class; the library needs neither.
 
 The memo tables are found by scanning the package's modules for functools
 caches, so clearing them needs no registry in the library.
@@ -299,6 +302,31 @@ def murphy_series_times_dense(n: int, f: TruncSeries, a, b) -> TruncSeries:
     lifted = TruncSeries([HeckeElt.scalar(n, c) for c in f.coeffs])
     hm = murphy_series_dense(n, f.order)
     return lifted * hm.scale_t(b) * hm.scale_t(a).inverse()
+
+
+def word_to_perm(n: int, word: list[int]) -> Perm:
+    """Product of adjacent transpositions s_{w_1} ... s_{w_k} in S_n."""
+    images = tuple(range(1, n + 1))
+    for i in word:
+        if not (1 <= i <= n - 1):
+            raise ValueError(f"generator index {i} out of range for S_{n}")
+        images = right_gen(images, i)
+    return Perm(images)
+
+
+def coxeter_rep(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """One-line images of the product of the blocks' Coxeter elements.
+
+    The blocks are consecutive runs of parts[0], parts[1], ... strands, and
+    the block on strands a..a+m-1 contributes s_{a+m-2} ... s_a, an m-cycle.
+    The product has cycle type parts and length sum(parts) - len(parts), the
+    least in its conjugacy class.
+    """
+    word, a = [], 1
+    for m in parts:
+        word += range(a + m - 2, a - 1, -1)
+        a += m
+    return word_to_perm(a - 1, word).images
 
 
 def compose(a: Perm, b: Perm) -> Perm:

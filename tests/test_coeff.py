@@ -13,6 +13,7 @@ from heckeskein.coeff import (
     _subresultant_prs,
     delta,
     laurent_divexact,
+    normal_form,
     poly_gcd,
     quantum_int,
     s_pow,
@@ -169,6 +170,40 @@ def test_poly_gcd_bivariate_random():
         fa, gb = laurent_divexact(f, r), laurent_divexact(g, r)
         assert poly_gcd(fa, gb).is_one()
         assert poly_gcd(g, f) == r
+
+
+def test_normal_form_random_families():
+    # Families of 1-5 numerators with a random common factor, over a den
+    # that carries a random monomial factor and sign.
+    rng = random.Random(1919)
+
+    def rndpoly(lo=-2, hi=2):
+        while True:
+            p = IntLaurent({
+                (rng.randint(lo, hi), rng.randint(lo, hi)): rng.randint(-4, 4)
+                for _ in range(rng.randint(1, 3))
+            })
+            if not p.is_zero():
+                return p
+
+    assert normal_form({}, IntLaurent.from_int(1)) == ({}, IntLaurent.from_int(1))
+    assert normal_form({}, rndpoly()) == ({}, IntLaurent.from_int(1))
+    for _ in range(200):
+        common = rndpoly(0, 2).int_mul(rng.choice((1, 2, 3)))
+        unit = IntLaurent.monomial(rng.choice((1, -1)), rng.randint(-3, 3), rng.randint(-3, 3))
+        den = rndpoly() * common * unit
+        nums = {k: rndpoly() * common for k in range(rng.randint(1, 5))}
+        nums2, den2 = normal_form(nums, den)
+        assert nums2.keys() == nums.keys()
+        for k in nums:
+            assert nums2[k] * den == nums[k] * den2
+        assert den2.min_exponents() == (0, 0)
+        assert den2.lex_leading()[1] > 0
+        g = den2
+        for c in nums2.values():
+            g = poly_gcd(g, c)
+        assert g.is_one()
+        assert normal_form(nums2, den2) == (nums2, den2)
 
 
 def test_quantum_int_examples():

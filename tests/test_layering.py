@@ -30,6 +30,22 @@ def test_only_hecke_reads_the_numerator_form():
     assert offenders == []
 
 
+def test_only_coeff_reaches_the_gcd_and_exact_division():
+    # Every fraction is made canonical by coeff.normal_form, so no other
+    # module takes a gcd, divides exactly or normalises a unit itself.
+    banned = {"poly_gcd", "laurent_divexact", "canon_poly_part"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "coeff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.name.split(".")[-1] in banned:
+                        offenders.append(f"{path.name}:{node.lineno} {alias.name}")
+    assert offenders == []
+
+
 def test_benchmark_tracer_installs_and_restores():
     # The benchmark's tracer wraps library names by lookup; a renamed or
     # deleted entry point would make its traced runs fail.

@@ -7,16 +7,14 @@ from heckeskein.perm import (
     Perm,
     all_perms,
     coset_decompose,
-    coxeter_rep,
     cycle_type,
     identity,
     length,
     reduced_word,
     right_gen,
     transposition,
-    word_to_perm,
 )
-from oracles import compose, inverse, inversions
+from oracles import compose, coxeter_rep, inverse, inversions, word_to_perm
 
 
 def test_group_ops_examples():

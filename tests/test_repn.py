@@ -13,7 +13,7 @@ from heckeskein.hecke import (
     t_circle,
     word_elt,
 )
-from heckeskein.perm import Perm, all_perms, coxeter_rep, right_gen
+from heckeskein.perm import Perm, all_perms, right_gen
 from heckeskein.repn import (
     central_scalar,
     character,
@@ -37,7 +37,7 @@ from heckeskein.symfun import (
     to_p,
     to_schur,
 )
-from oracles import mat_identity, mat_mul, memo_clear, seminormal_character
+from oracles import coxeter_rep, mat_identity, mat_mul, memo_clear, seminormal_character
 
 
 def rand_elt(rng, n, terms=3):
