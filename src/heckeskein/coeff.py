@@ -195,6 +195,7 @@ class IntLaurent:
 
 _L_ZERO = IntLaurent()
 _L_ONE = IntLaurent.from_int(1)
+_ONE_TERMS = _L_ONE.terms
 
 
 def _fmt_poly(p: IntLaurent) -> str:
@@ -482,7 +483,7 @@ def poly_lcm(a: IntLaurent, b: IntLaurent) -> IntLaurent:
         return a
     if a.is_one():
         return b
-    return a * laurent_divexact(b, poly_gcd(a, b))
+    return a * laurent_divexact(b, _gcd_cached(a, b))
 
 
 def over_lcm(pairs) -> tuple[list[IntLaurent], IntLaurent]:
@@ -768,10 +769,19 @@ def add_term(store: dict, key, val) -> None:
         store[key] = val
 
 
-def mul_into(acc: dict[ExpPair, int], f: IntLaurent, g: IntLaurent) -> None:
-    """acc += f g on integer terms, in place; IntLaurent(acc) drops the zeros."""
-    gs = g.terms.items()
-    for (a1, b1), k1 in f.terms.items():
+def mul_into(
+    acc: dict[ExpPair, int], f: dict[ExpPair, int], g: dict[ExpPair, int]
+) -> None:
+    """acc += f g on integer term maps, in place; IntLaurent(acc) drops the zeros.
+
+    The term maps may hold zeros, as the numerators in flight in hecke do.
+    """
+    if f == _ONE_TERMS:
+        for e, k in g.items():
+            acc[e] = acc.get(e, 0) + k
+        return
+    gs = g.items()
+    for (a1, b1), k1 in f.items():
         for (a2, b2), k2 in gs:
             e = (a1 + a2, b1 + b2)
             acc[e] = acc.get(e, 0) + k1 * k2

@@ -16,21 +16,30 @@ returns {key: integer numerator over den}, for its caller to reduce once.
 The characters (keyed by conjugacy class), the loop grades of the Markov
 trace and phi_eval (one key) all pair this way.
 
-Right multiplication by a generator is the only structural operation:
+Multiplication by a generator is the only structural operation:
 
     w_pi . sigma_i = w_{pi s_i}                 if the length goes up,
     w_pi . sigma_i = w_{pi s_i} + z w_pi        if it goes down,
 
-with z = s - s^{-1}, and sigma_i^{-1} = sigma_i - z.  A general product
-x * y expands every braid of y along its canonical reduced word, which is
-valid because lengths are additive along reduced words.
+with z = s - s^{-1}, and sigma_i^{-1} = sigma_i - z; sigma_i . w_pi is the
+same with s_i pi.  So sigma_i^{±1} mixes each pair {w_u, w_d}, d = u s_i the
+longer, by a 2x2 matrix invertible over Z[s^{±1}], and braid words keep the
+form canonical.
 
-sigma_i^{±1} acts on the numerators by a matrix invertible over
-Z[s^{±1}], so braid words keep the form canonical.  Sums, scalings and
-psi's sums go through `lincomb`, normalised once; products and the mirror
-map renormalise once too.  Normalising is coeff.normal_form, the same
-routine that reduces a Scalar: a gcd of den folded over the numerators
-through the shared gcd table, then the unit.
+Numerators in flight are plain integer term maps {images: {(e_v, e_s): int}}
+that one kernel, `_step`, updates in place, a pair of basis braids at a
+time; scaled sums go through coeff.mul_into, and zero terms are dropped once,
+when the result is wrapped as IntLaurents.  Every walk along a braid word
+goes through it: `rmul_word`, the Murphy-braid words, `mirror` and
+`is_central`.  A product x * y walks the prefix trie of y's support: the
+canonical reduced words are prefix-closed, as word_of(rho) minus its last
+letter i is word_of(rho s_i), so each node of the trie costs one generator
+step on its parent's numerators, and lengths add along reduced words.
+
+Sums, scalings and psi's sums go through `lincomb`, normalised once;
+products and the mirror map renormalise once too.  Normalising is
+coeff.normal_form, the same routine that reduces a Scalar: a gcd of den
+folded over the numerators through the shared gcd table, then the unit.
 
 Polynomials in the commuting Murphy braids T(j) (power sums, the Murphy
 series) are built without dense products: the braid word of T(j) acts on
@@ -46,9 +55,9 @@ from typing import Callable, Hashable, Iterable, Mapping
 from .coeff import (
     ONE,
     ZERO,
+    ExpPair,
     IntLaurent,
     Scalar,
-    add_term,
     delta,
     memo,
     mul_into,
@@ -62,7 +71,6 @@ from .perm import (
     Perm,
     all_perms,
     identity,
-    left_gen,
     length,
     right_gen,
     transposition,
@@ -70,12 +78,12 @@ from .perm import (
 )
 from .series import TruncSeries
 
-_Z = IntLaurent({(0, 1): 1, (0, -1): -1})
 _ZERO_POLY = IntLaurent()
 _ONE_POLY = IntLaurent.from_int(1)
 
 Images = tuple[int, ...]
 PolyTerms = dict[Images, IntLaurent]
+Terms = dict[Images, dict[ExpPair, int]]  # numerators in flight, zeros allowed
 
 
 class HeckeElt:
@@ -153,23 +161,50 @@ class HeckeElt:
     # -- multiplication ----------------------------------------------------------------
 
     def __mul__(self, other: HeckeElt) -> HeckeElt:
+        """The product, walking the prefix trie of other's support.
+
+        x * y = sum over rho of y's coefficient times x w_rho.  Each x w_rho
+        is x times the letters of rho's canonical word; as the words are
+        prefix-closed, the trie of y's support shares every prefix, so each
+        node costs one generator step on its parent's numerators, and the
+        walk holds at most one copy of x's numerators per trie level.
+        """
         if self.n != other.n:
             raise ValueError(f"strand mismatch: {self.n} vs {other.n}")
-        acc: PolyTerms = {}
-        for rho, c_rho in other.nums.items():
-            cur = self.nums
-            for i in word_of(rho):
-                cur = _rmul_gen_poly(cur, i, +1)
-            _iadd(acc, c_rho, cur)
-        return _elt(self.n, *normal_form(acc, self.den * other.den))
+        kids: dict[Images, list[tuple[int, Images]]] = {}
+        seen = set()
+        for rho in other.nums:
+            while rho not in seen:
+                seen.add(rho)
+                word = word_of(rho)
+                if not word:
+                    break
+                i = word[-1]
+                parent = right_gen(rho, i)
+                kids.setdefault(parent, []).append((i, rho))
+                rho = parent
+        acc: Terms = {}
+
+        def walk(node: Images, cur: Terms) -> None:
+            c = other.nums.get(node)
+            if c is not None:
+                _iadd(acc, c, cur)
+            below = kids.get(node, ())
+            for pos, (i, child) in enumerate(below, 1):
+                nxt = cur if pos == len(below) else _copy(cur)
+                _step(nxt, i, 1)
+                walk(child, nxt)
+
+        walk(identity(self.n).images, _open(self.nums))
+        return _elt(self.n, *normal_form(_close(acc), self.den * other.den))
 
     def rmul_word(self, word) -> HeckeElt:
         """self * sigma_{|i|}^{sign(i)} over the letters i of a braid word."""
         check_word(self.n, word)
-        nums = self.nums
+        terms = _open(self.nums)
         for i in word:
-            nums = _rmul_gen_poly(nums, abs(i), 1 if i > 0 else -1)
-        return _elt(self.n, nums, self.den)
+            _step(terms, abs(i), 1 if i > 0 else -1)
+        return _elt(self.n, _close(terms), self.den)
 
     def pair(
         self, value: Callable[[Images], Iterable[tuple[Hashable, IntLaurent]]]
@@ -188,7 +223,7 @@ class HeckeElt:
                 out = acc.get(key)
                 if out is None:
                     out = acc[key] = {}
-                mul_into(out, c, f)
+                mul_into(out, c.terms, f.terms)
         return {key: IntLaurent(out) for key, out in acc.items()}
 
     # -- the skein structure --------------------------------------------------------------
@@ -202,16 +237,19 @@ class HeckeElt:
 
     def mirror(self) -> HeckeElt:
         """Switch all crossings and invert v and s; an involution."""
-        acc: PolyTerms = {}
+        acc: Terms = {}
         for images, c in self.nums.items():
-            _iadd(acc, c.mirror(), _mirror_basis(images))
-        return _elt(self.n, *normal_form(acc, self.den.mirror()))
+            _iadd(acc, c.mirror(), _view(_mirror_basis(images)))
+        return _elt(self.n, *normal_form(_close(acc), self.den.mirror()))
 
     def is_central(self) -> bool:
-        return all(
-            _rmul_gen_poly(self.nums, i, +1) == _lmul_gen_poly(self.nums, i)
-            for i in range(1, self.n)
-        )
+        for i in range(1, self.n):
+            x_s, s_x = _open(self.nums), _open(self.nums)
+            _step(x_s, i, 1)
+            _step(s_x, i, 1, left=True)
+            if _close(x_s) != _close(s_x):
+                return False
+        return True
 
     # -- serialization ------------------------------------------------------------------------
 
@@ -258,44 +296,96 @@ def lincomb(n: int, pairs) -> HeckeElt:
             elts.append(x.nums)
             coeffs.append((c.num, x.den * c.den))
     ks, den = over_lcm(coeffs)
-    acc: PolyTerms = {}
+    acc: Terms = {}
     for nums, k in zip(elts, ks):
-        _iadd(acc, k, nums)
-    return _elt(n, *normal_form(acc, den))
+        _iadd(acc, k, _view(nums))
+    return _elt(n, *normal_form(_close(acc), den))
 
 
-def _iadd(acc: PolyTerms, k: IntLaurent, nums: PolyTerms) -> None:
-    """acc += k nums, in place, for numerators over one denominator."""
-    if k.is_zero():
+# -- numerators in flight --------------------------------------------------------------
+
+
+def _view(nums: PolyTerms) -> Terms:
+    """The numerators' own term maps, to read and not to update."""
+    return {im: c.terms for im, c in nums.items()}
+
+
+def _open(nums: PolyTerms) -> Terms:
+    """A copy of the numerators as term maps that `_step` may update."""
+    return {im: dict(c.terms) for im, c in nums.items()}
+
+
+def _copy(terms: Terms) -> Terms:
+    return {im: dict(t) for im, t in terms.items()}
+
+
+def _close(terms: Terms) -> PolyTerms:
+    """The term maps as IntLaurent numerators, dropping zero terms and numerators."""
+    out: PolyTerms = {}
+    for im, t in terms.items():
+        c = IntLaurent(t)
+        if c.terms:
+            out[im] = c
+    return out
+
+
+def _iadd(acc: Terms, k: IntLaurent, terms: Terms) -> None:
+    """acc += k terms, in place."""
+    k = k.terms
+    if not k:
         return
-    for im, c in nums.items():
-        add_term(acc, im, c * k)
+    for im, t in terms.items():
+        out = acc.get(im)
+        if out is None:
+            out = acc[im] = {}
+        mul_into(out, k, t)
 
 
-def _rmul_gen_poly(terms: PolyTerms, i: int, sign: int) -> PolyTerms:
-    """Right multiply polynomial-coefficient terms by sigma_i^{sign}."""
-    out: PolyTerms = {}
-    j = i - 1
-    for im, c in terms.items():
-        ascending = im[j] < im[j + 1]
-        add_term(out, right_gen(im, i), c)
-        if sign > 0:
-            if not ascending:
-                add_term(out, im, c * _Z)
+def _step(terms: Terms, i: int, sign: int, left: bool = False) -> None:
+    """terms <- terms sigma_i^sign, or sigma_i terms if left (sign 1), in place.
+
+    Swapping the entries at positions i, i+1 (at the values i, i+1 on the
+    left) pairs each braid w_u with the longer w_d.  sigma_i sends the pair
+    of coefficients (c_u, c_d) to (c_d, c_u + z c_d); sigma_i^{-1} =
+    sigma_i - z sends (c_d, c_u) to (c_u, c_d - z c_u), the same move with
+    u and d exchanged and z negated.  A term map is moved, not copied, and
+    z c is added to the other one of the pair.
+    """
+    for im in list(terms):
+        if left:
+            a, b = im.index(i), im.index(i + 1)
+            down = a > b
+            swapped = list(im)
+            swapped[a], swapped[b] = i + 1, i
+            other = tuple(swapped)
         else:
-            if ascending:
-                add_term(out, im, -(c * _Z))
-    return out
-
-
-def _lmul_gen_poly(terms: PolyTerms, i: int) -> PolyTerms:
-    """Left multiply polynomial-coefficient terms by sigma_i."""
-    out: PolyTerms = {}
-    for im, c in terms.items():
-        add_term(out, left_gen(im, i), c)
-        if im.index(i) > im.index(i + 1):
-            add_term(out, im, c * _Z)
-    return out
+            p, q = im[i - 1], im[i]
+            down = p > q
+            other = im[:i - 1] + (q, p) + im[i + 1:]
+        if down:
+            if other in terms:
+                continue  # the pair moves when its shorter braid comes up
+            u, d = other, im
+        else:
+            u, d = im, other
+        if sign < 0:
+            u, d = d, u
+        cu, cd = terms.get(u), terms.get(d)
+        if cd is None:
+            terms[d] = cu
+            del terms[u]
+            continue
+        if cu is None:
+            cu = {}
+        for (ev, es), k in cd.items():  # cu += sign z cd
+            if k:
+                k *= sign
+                e = (ev, es + 1)
+                cu[e] = cu.get(e, 0) + k
+                e = (ev, es - 1)
+                cu[e] = cu.get(e, 0) - k
+        terms[d] = cu
+        terms[u] = cd
 
 
 def _murphy_word(j: int) -> list[int]:
@@ -303,8 +393,8 @@ def _murphy_word(j: int) -> list[int]:
     return list(range(j - 1, 0, -1)) + list(range(1, j))
 
 
-def _rmul_murphy(terms: PolyTerms, j: int, m: int) -> PolyTerms:
-    """Right multiply polynomial-coefficient terms by T(j)^m, one letter at a time.
+def _rmul_murphy(terms: Terms, j: int, m: int) -> None:
+    """terms <- terms T(j)^m, in place, one letter at a time.
 
     The letters are positive, so the numerators stay over the same
     denominator and no gcd is taken.
@@ -312,8 +402,7 @@ def _rmul_murphy(terms: PolyTerms, j: int, m: int) -> PolyTerms:
     word = _murphy_word(j)
     for _ in range(m):
         for i in word:
-            terms = _rmul_gen_poly(terms, i, +1)
-    return terms
+            _step(terms, i, 1)
 
 
 @memo
@@ -328,7 +417,9 @@ def _mirror_basis(images: Images) -> PolyTerms:
         return {images: _ONE_POLY}
     # w_pi = w_{pi s_i} sigma_i for the last letter i of pi's reduced word
     i = word[-1]
-    return _rmul_gen_poly(_mirror_basis(right_gen(images, i)), i, -1)
+    terms = _open(_mirror_basis(right_gen(images, i)))
+    _step(terms, i, -1)
+    return _close(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +532,17 @@ def add_power_sum_T(x: HeckeElt, m: int, a: Scalar, c: Scalar) -> HeckeElt:
     """a x + c x (T(1)^m + ... + T(n)^m), normalised once."""
     if m < 1:
         raise ValueError("power must be >= 1")
-    murphy: PolyTerms = {}
+    murphy: Terms = {}
     for j in range(1, x.n + 1):
-        _iadd(murphy, _ONE_POLY, _rmul_murphy(x.nums, j, m))
+        terms = _open(x.nums)
+        _rmul_murphy(terms, j, m)
+        _iadd(murphy, _ONE_POLY, terms)
     # both terms over x.den L, with L the lcm of a.den and c.den
     (ka, kc), ell = over_lcm([(a.num, a.den), (c.num, c.den)])
-    acc: PolyTerms = {}
-    _iadd(acc, ka, x.nums)
+    acc: Terms = {}
+    _iadd(acc, ka, _view(x.nums))
     _iadd(acc, kc, murphy)
-    return _elt(x.n, *normal_form(acc, x.den * ell))
+    return _elt(x.n, *normal_form(_close(acc), x.den * ell))
 
 
 def murphy_series(n: int, order: int) -> TruncSeries:
@@ -475,19 +568,19 @@ def murphy_series_times(
     dens, coeffs, power = [], [], _ONE_POLY
     for k in nums:  # f_k over D L^k
         dens.append(den * power)
-        coeffs.append({} if k.is_zero() else {one: k * power})
+        coeffs.append({} if k.is_zero() else {one: dict((k * power).terms)})
         power = power * ell
     # over D L^k, b d_{k-1} T(j) has the numerator b.num a.den T(j) N_{k-1}
     kb, ka = b.num * a.den, -(a.num * b.den)
     for j in range(1, n + 1):
-        prev = coeffs[0]
-        for k in range(1, len(coeffs)):
-            shifted = _rmul_murphy(prev, j, 1)
-            d = coeffs[k]
+        shifted = _copy(coeffs[0])
+        for d in coeffs[1:]:
+            _rmul_murphy(shifted, j, 1)
             _iadd(d, kb, shifted)  # d_k, in place
-            prev = dict(d)
+            prev = _copy(d)
             _iadd(d, ka, shifted)  # c_k
-    out = [_elt(n, *normal_form(c, d)) for c, d in zip(coeffs, dens)]
+            shifted = prev
+    out = [_elt(n, *normal_form(_close(c), d)) for c, d in zip(coeffs, dens)]
     for c in out[1:]:
         if not c.is_central():
             raise AssertionError("Murphy series coefficient is not central")

@@ -234,9 +234,8 @@ def _class_character(lam: Partition, mu: Partition) -> IntLaurent:
         links = sum(lam[i] - nu[i - 1] == 1 for i in range(1, len(lam)))
         # (-1)^links q^(k - rows) (q - 1)^m s^(1 - k), q = s^2, expanded in s
         m, e = rows - links - 1, k + 1 - 2 * rows
-        wt = IntLaurent({(0, e + 2 * j): (-1) ** (links + m - j) * comb(m, j)
-                         for j in range(m + 1)})
-        mul_into(acc, wt, _class_character(tuple(v for v in nu if v), rest))
+        wt = {(0, e + 2 * j): (-1) ** (links + m - j) * comb(m, j) for j in range(m + 1)}
+        mul_into(acc, wt, _class_character(tuple(v for v in nu if v), rest).terms)
     return IntLaurent(acc)
 
 
@@ -270,7 +269,7 @@ def _character_num(coords: dict[Partition, IntLaurent], lam: Partition) -> IntLa
     """The numerator of chi_lambda(x): sum over mu of K_mu chi_lambda(w_mu)."""
     acc: dict[tuple[int, int], int] = {}
     for mu, k in coords.items():
-        mul_into(acc, k, _class_character(lam, mu))
+        mul_into(acc, k.terms, _class_character(lam, mu).terms)
     return IntLaurent(acc)
 
 

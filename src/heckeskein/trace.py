@@ -13,8 +13,8 @@ the whole v-dependence: tr(w_pi) = sum over l of b_l(s) delta^l v^(l-n), with
 each b_l in Z[s^±].  The nonzero b_l are cached per basis braid as (l, b_l)
 pairs, the keyed values HeckeElt.pair takes, so the trace of x pairs its
 numerators with every grade at once and, as delta = v^{-1} (1 - v^2) / z,
-sums the grades into one numerator over z^n den by Horner's rule in
-1 - v^2, reduced once.
+sums the grades into one numerator over z^n den against weights in
+1 - v^2 and z built once per strand count, reduced once.
 
 The multiplicative evaluation on the annulus ring sends h_k to the trace of
 the k-strand row idempotent, taken from its closed form (Aiston & Morton,
@@ -41,7 +41,18 @@ applies these Markov moves until none fits, and expands only what is left:
 
 from __future__ import annotations
 
-from .coeff import ONE, IntLaurent, Scalar, delta, memo, over_lcm, s_pow, v_pow, z
+from .coeff import (
+    ONE,
+    IntLaurent,
+    Scalar,
+    delta,
+    memo,
+    mul_into,
+    over_lcm,
+    s_pow,
+    v_pow,
+    z,
+)
 from .hecke import HeckeElt, check_word, word_elt
 from .perm import Perm, coset_decompose
 from .symfun import SymFunc
@@ -70,21 +81,33 @@ def _trace_loops(images: tuple[int, ...]) -> tuple[tuple[int, IntLaurent], ...]:
     return tuple((l, b) for l, b in grades if not b.is_zero())
 
 
+@memo
+def _grade_weights(n: int, j: int) -> tuple[tuple[IntLaurent, ...], IntLaurent]:
+    """The weights (1 - v^2)^(l-j) z^(n-l) of the grades l = j..n, and z^(n-j)."""
+    one_minus_v2 = IntLaurent({(0, 0): 1, (2, 0): -1})
+    a_pows, z_pows = [_ONE_POLY], [_ONE_POLY]
+    for _ in range(j, n):
+        a_pows.append(a_pows[-1] * one_minus_v2)
+        z_pows.append(z_pows[-1] * _Z)
+    weights = tuple(a_pows[l - j] * z_pows[n - l] for l in range(j, n + 1))
+    return weights, z_pows[-1]
+
+
 def _loop_sum(x: HeckeElt, j: int, t: int) -> Scalar:
     """v^t tr(x) / delta^j, for j = 0, or j = 1 on n >= 1 strands.
 
     With K_l the pairing of x with b_l and delta = v^{-1} (1 - v^2) / z, this
     is v^(t+j-n) sum over l >= j of K_l (1 - v^2)^(l-j) z^(n-l), over
-    z^(n-j) x.den.  One pairing gives every K_l.
+    z^(n-j) x.den.  One pairing gives every K_l, and the sum is one integer
+    accumulation against the weights of (n, j).
     """
     n = x.n
-    grades = x.pair(_trace_loops)
-    ks = [grades.get(l, _ZERO_POLY) for l in range(j, n + 1)]
-    num, z_pow = ks.pop(), _ONE_POLY
-    for k in reversed(ks):  # Horner's rule: num <- num (1 - v^2) + K_l z^(n-l)
-        z_pow = z_pow * _Z
-        num = num - num.shift(2, 0) + k * z_pow
-    return Scalar(num.shift(t + j - n, 0), z_pow * x.den)
+    weights, z_pow = _grade_weights(n, j)
+    acc: dict[tuple[int, int], int] = {}
+    for l, k in x.pair(_trace_loops).items():
+        if l >= j:
+            mul_into(acc, k.terms, weights[l - j].terms)
+    return Scalar(IntLaurent(acc).shift(t + j - n, 0), z_pow * x.den)
 
 
 def markov_ev(x: HeckeElt) -> Scalar:

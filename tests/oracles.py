@@ -17,6 +17,13 @@ library took before class coordinates: each basis braid's own class
 polynomial paired with the minimal braids' characters, summed term by term
 in Scalars.
 
+The generator-action oracles are the per-term route the library took before
+its in-place kernel: every generator step builds a new {images: IntLaurent}
+map, one IntLaurent product per term, and drops zeros as it goes.  On them
+rest a product that walks the whole canonical word of every braid of the
+right factor, a word action, the mirror map and the centrality test, each
+with no prefix shared; and the trace sum by Horner's rule in 1 - v^2.
+
 The dense psi and Murphy-series oracles are the slow route through dense
 HeckeElt products and Hecke-valued series (geometric, scale_t, inverse),
 with T(j) built from its own braid word, never through the library's
@@ -41,15 +48,25 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 
-from heckeskein.coeff import ONE, IntLaurent, Scalar, add_term, delta, s_pow, v_pow
-from heckeskein.hecke import HeckeElt, word_elt
-from heckeskein.perm import Perm, coset_decompose, length, right_gen, word_of
+from heckeskein.coeff import (
+    ONE,
+    IntLaurent,
+    Scalar,
+    add_term,
+    delta,
+    normal_form,
+    s_pow,
+    v_pow,
+)
+from heckeskein.hecke import HeckeElt, _elt, word_elt
+from heckeskein.perm import Perm, coset_decompose, left_gen, length, right_gen, word_of
 from heckeskein.repn import _class_character, _class_poly, rho, std_tableaux
 from heckeskein.series import TruncSeries, geometric
 from heckeskein.symfun import SymFunc, power_sum, to_p
-from heckeskein.trace import ev_sym
+from heckeskein.trace import _trace_loops, ev_sym
 
 _L_ONE = IntLaurent.from_int(1)
+_Z = IntLaurent({(0, 1): 1, (0, -1): -1})
 
 
 def h_value(k: int, xs: list[Fraction]) -> Fraction:
@@ -241,6 +258,99 @@ def character_by_basis(x: HeckeElt, lam: tuple[int, ...]) -> Scalar:
     for p, c in x.terms.items():
         out = out + c * basis_character(lam, p.images)
     return out
+
+
+def iadd_poly(acc: dict, k: IntLaurent, nums: dict) -> None:
+    """acc += k nums on IntLaurent numerators, dropping zeros as it goes."""
+    if k.is_zero():
+        return
+    for im, c in nums.items():
+        add_term(acc, im, c * k)
+
+
+def rmul_gen_poly(terms: dict, i: int, sign: int) -> dict:
+    """Right multiply IntLaurent numerators by sigma_i^{sign}, into a new map."""
+    out: dict = {}
+    j = i - 1
+    for im, c in terms.items():
+        ascending = im[j] < im[j + 1]
+        add_term(out, right_gen(im, i), c)
+        if sign > 0:
+            if not ascending:
+                add_term(out, im, c * _Z)
+        else:
+            if ascending:
+                add_term(out, im, -(c * _Z))
+    return out
+
+
+def lmul_gen_poly(terms: dict, i: int) -> dict:
+    """Left multiply IntLaurent numerators by sigma_i, into a new map."""
+    out: dict = {}
+    for im, c in terms.items():
+        add_term(out, left_gen(im, i), c)
+        if im.index(i) > im.index(i + 1):
+            add_term(out, im, c * _Z)
+    return out
+
+
+def rmul_word_by_terms(x: HeckeElt, word) -> HeckeElt:
+    """x times the signed braid word, one new numerator map per letter."""
+    nums = x.nums
+    for i in word:
+        nums = rmul_gen_poly(nums, abs(i), 1 if i > 0 else -1)
+    return _elt(x.n, nums, x.den)
+
+
+def product_by_words(x: HeckeElt, y: HeckeElt) -> HeckeElt:
+    """x * y, walking the whole canonical word of every braid of y from x."""
+    acc: dict = {}
+    for rho, c in y.nums.items():
+        cur = x.nums
+        for i in word_of(rho):
+            cur = rmul_gen_poly(cur, i, +1)
+        iadd_poly(acc, c, cur)
+    return _elt(x.n, *normal_form(acc, x.den * y.den))
+
+
+def is_central_by_terms(x: HeckeElt) -> bool:
+    """x sigma_i == sigma_i x for every generator, one new map per side."""
+    return all(
+        rmul_gen_poly(x.nums, i, +1) == lmul_gen_poly(x.nums, i) for i in range(1, x.n)
+    )
+
+
+@cache
+def mirror_basis_by_terms(images: tuple[int, ...]) -> dict:
+    """The crossing-switched w_pi: that of w_{pi s_i} times sigma_i^{-1}."""
+    word = word_of(images)
+    if not word:
+        return {images: _L_ONE}
+    i = word[-1]
+    return rmul_gen_poly(mirror_basis_by_terms(right_gen(images, i)), i, -1)
+
+
+def mirror_by_terms(x: HeckeElt) -> HeckeElt:
+    """The mirror of x, summed over the mirrored basis braids."""
+    acc: dict = {}
+    for images, c in x.nums.items():
+        iadd_poly(acc, c.mirror(), mirror_basis_by_terms(images))
+    return _elt(x.n, *normal_form(acc, x.den.mirror()))
+
+
+def loop_sum_horner(x: HeckeElt, j: int, t: int) -> Scalar:
+    """v^t tr(x) / delta^j: the grades K_l summed by Horner's rule in 1 - v^2.
+
+    num <- num (1 - v^2) + K_l z^(n-l) from l = n down to j, over z^(n-j) x.den.
+    """
+    n = x.n
+    grades = x.pair(_trace_loops)
+    ks = [grades.get(l, IntLaurent()) for l in range(j, n + 1)]
+    num, z_pow = ks.pop(), _L_ONE
+    for k in reversed(ks):
+        z_pow = z_pow * _Z
+        num = num - num.shift(2, 0) + k * z_pow
+    return Scalar(num.shift(t + j - n, 0), z_pow * x.den)
 
 
 def murphy_T_dense(j: int, n: int) -> HeckeElt:

@@ -36,6 +36,9 @@ GOLDEN = [
      "4f6f7eb664797a5ce437cf48dbd08aa38c8d1914e5365076a9518d24e1253d59"),
     (["verify", "all", "--n", "3", "--degree", "3"],
      "66900efb8f88d14af1f651a0e2e7f03e4c9ac2bb4d5b25fcea7174900b633c34"),
+    # the n = 5 dense squares and Murphy-braid walks
+    (["verify", "all", "--n", "5", "--degree", "5"],
+     "bcca2f0a9ba0cc0fae21dcd1217daa7b9b3dffd97a2659e441b9b2d087ba98e1"),
     (["psi", "--n", "5", "--elem", "p2*h2"],
      "a22eb81c1c43ee0532c6b8da8989156a6ececa3d48a2bea2f7c2b6ed669aa327"),
     (["psi", "--n", "5", "--elem", "s(2,1)*p2"],

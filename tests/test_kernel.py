@@ -1,0 +1,141 @@
+"""The in-place generator kernel, the prefix-trie product and the trace sum.
+
+Each is compared on seeded random inputs with the per-term reference route
+in the oracles: a new IntLaurent map per generator step, the whole word of
+every braid per product, and the Horner trace sum.  Elements carry v and s
+in their numerators and a non-unit denominator.
+"""
+
+import random
+
+import pytest
+
+from heckeskein.coeff import IntLaurent, Scalar
+from heckeskein.hecke import (
+    HeckeElt,
+    a_sym,
+    murphy_series,
+    murphy_T,
+    power_sum_T,
+    t_circle,
+    word_elt,
+)
+from heckeskein.perm import all_perms, right_gen, word_of
+from heckeskein.trace import homfly, markov_ev
+from oracles import (
+    is_central_by_terms,
+    loop_sum_horner,
+    mirror_by_terms,
+    product_by_words,
+    rmul_word_by_terms,
+)
+
+# non-unit denominators: in s alone, in both variables, and an integer
+DENS = [
+    IntLaurent({(0, 2): 1, (0, 0): -1}),
+    IntLaurent({(1, 0): 1, (0, 1): -1}),
+    IntLaurent({(1, 1): 1, (0, 0): 1}),
+    IntLaurent.from_int(2),
+]
+
+
+def rand_poly(rng) -> IntLaurent:
+    return IntLaurent(
+        {(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(-3, 3) for _ in range(3)}
+    )
+
+
+def rand_elt(rng, n: int, terms: int) -> HeckeElt:
+    """About `terms` random basis braids of H_n over one random denominator."""
+    perms = list(all_perms(n))
+    den = rng.choice(DENS)
+    picks = rng.sample(perms, min(terms, len(perms)))
+    return HeckeElt(n, {p: Scalar(rand_poly(rng), den) for p in picks})
+
+
+def rand_word(rng, n: int, length: int) -> list[int]:
+    letters = [i for i in range(1 - n, n) if i]
+    return [rng.choice(letters) for _ in range(length)] if letters else []
+
+
+def inverse_word(word: list[int]) -> list[int]:
+    return [-i for i in reversed(word)]
+
+
+def test_canonical_words_are_prefix_closed():
+    # the trie product rests on this: dropping the last letter i of rho's
+    # canonical word leaves the canonical word of rho s_i
+    for n in range(1, 8):
+        for p in all_perms(n):
+            word = word_of(p.images)
+            if word:
+                assert word_of(right_gen(p.images, word[-1])) == word[:-1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_signed_words_match_the_reference(seed):
+    rng = random.Random(seed)
+    for n in range(1, 6):
+        x = rand_elt(rng, n, 4)
+        w = rand_word(rng, n, rng.randint(0, 3 * n))
+        assert x.rmul_word(w) == rmul_word_by_terms(x, w)
+        # w then its inverse cancels coefficients back to zero on the way
+        assert x.rmul_word(w + inverse_word(w)) == x
+        assert x.rmul_word(w).rmul_word(inverse_word(w)) == x
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_products_match_the_per_braid_walk(seed):
+    rng = random.Random(100 + seed)
+    for n in range(1, 6):
+        x = rand_elt(rng, n, 5)
+        sparse = rand_elt(rng, n, 2)
+        dense = rand_elt(rng, n, 120)
+        for y in (sparse, dense, x, HeckeElt(n), HeckeElt.identity(n)):
+            assert x * y == product_by_words(x, y)
+        assert sparse * x == product_by_words(sparse, x)
+
+
+def test_dense_square_matches_the_per_braid_walk():
+    a = a_sym(5).scale(Scalar(IntLaurent.from_int(1), DENS[1]))
+    assert a * a == product_by_words(a, a)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_is_central_matches_the_reference(n):
+    rng = random.Random(200 + n)
+    central = [t_circle(n), power_sum_T(2, n), *murphy_series(n, 2).coeffs]
+    for x in central:
+        assert x.is_central() and is_central_by_terms(x)
+    others = [rand_elt(rng, n, 3) for _ in range(3)]
+    if n >= 3:
+        others.append(murphy_T(2, n))
+    for x in others:
+        assert x.is_central() == is_central_by_terms(x)
+    if n >= 3:
+        assert not murphy_T(2, n).is_central()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mirror_matches_the_reference(seed):
+    rng = random.Random(300 + seed)
+    for n in range(1, 6):
+        x = rand_elt(rng, n, 6)
+        assert x.mirror() == mirror_by_terms(x)
+        assert x.mirror().mirror() == x
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_trace_sums_match_horner(seed):
+    rng = random.Random(400 + seed)
+    for n in range(1, 6):
+        x = rand_elt(rng, n, 6)
+        assert markov_ev(x) == loop_sum_horner(x, 0, 0)
+        assert markov_ev(HeckeElt(n)) == loop_sum_horner(HeckeElt(n), 0, 0)
+        # homfly is invariant under the Markov moves it applies, so it equals
+        # the reference sum on the whole word
+        w = rand_word(rng, n, rng.randint(n, 3 * n))
+        writhe = sum(1 if i > 0 else -1 for i in w)
+        ref = loop_sum_horner(rmul_word_by_terms(HeckeElt.identity(n), w), 1, writhe)
+        assert homfly(n, w) == ref
+        assert markov_ev(word_elt(n, w)) == loop_sum_horner(word_elt(n, w), 0, 0)

@@ -128,7 +128,7 @@ def test_every_memo_table_is_bounded_and_cleared():
         and any(isinstance(d, ast.Name) and d.id == "memo" for d in node.decorator_list)
     )
     tables = memo_tables()
-    assert len(decorated) == 15
+    assert len(decorated) == 16
     assert sorted(t.__name__ for t in tables) == decorated
     assert all(t.cache_parameters()["maxsize"] == MEMO_SIZE for t in tables)
 
@@ -168,6 +168,7 @@ def test_memo_bound_holds_the_largest_key_space():
         **dict.fromkeys(["std_tableaux", "_schur_terms", "_p_monomial"], shapes),
         "_class_character": sum(c * c for c in p),
         "_psi_p": len(ks) * shapes,  # (strands, a partition as prefix)
+        "_grade_weights": 2 * len(ks),  # (strands, j = 0 or 1)
     }
     assert spaces.keys() | {"_gcd_cached"} == {t.__name__ for t in memo_tables()}
     largest = max(spaces.values())
