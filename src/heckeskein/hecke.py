@@ -31,10 +31,12 @@ that one kernel, `_step`, updates in place, a pair of basis braids at a
 time; scaled sums go through coeff.mul_into, and zero terms are dropped once,
 when the result is wrapped as IntLaurents.  Every walk along a braid word
 goes through it: `rmul_word`, the Murphy-braid words, `mirror` and
-`is_central`.  A product x * y walks the prefix trie of y's support: the
-canonical reduced words are prefix-closed, as word_of(rho) minus its last
-letter i is word_of(rho s_i), so each node of the trie costs one generator
-step on its parent's numerators, and lengths add along reduced words.
+`is_central`.  A product x * y and the mirror of y share one walk, `_walk`,
+along the prefix trie of y's support: the canonical reduced words are
+prefix-closed, as word_of(rho) minus its last letter i is word_of(rho s_i),
+so each node of the trie costs one generator step on its parent's
+numerators.  The product steps x by sigma_i, as lengths add along reduced
+words; the mirror steps the identity by sigma_i^{-1}.
 
 Sums, scalings and psi's sums go through `lincomb`, normalised once;
 products and the mirror map renormalise once too.  Normalising is
@@ -59,7 +61,6 @@ from .coeff import (
     IntLaurent,
     Scalar,
     delta,
-    memo,
     mul_into,
     normal_form,
     over_lcm,
@@ -161,41 +162,10 @@ class HeckeElt:
     # -- multiplication ----------------------------------------------------------------
 
     def __mul__(self, other: HeckeElt) -> HeckeElt:
-        """The product, walking the prefix trie of other's support.
-
-        x * y = sum over rho of y's coefficient times x w_rho.  Each x w_rho
-        is x times the letters of rho's canonical word; as the words are
-        prefix-closed, the trie of y's support shares every prefix, so each
-        node costs one generator step on its parent's numerators, and the
-        walk holds at most one copy of x's numerators per trie level.
-        """
+        """The product: x times the canonical word of each braid of y, one walk."""
         if self.n != other.n:
             raise ValueError(f"strand mismatch: {self.n} vs {other.n}")
-        kids: dict[Images, list[tuple[int, Images]]] = {}
-        seen = set()
-        for rho in other.nums:
-            while rho not in seen:
-                seen.add(rho)
-                word = word_of(rho)
-                if not word:
-                    break
-                i = word[-1]
-                parent = right_gen(rho, i)
-                kids.setdefault(parent, []).append((i, rho))
-                rho = parent
-        acc: Terms = {}
-
-        def walk(node: Images, cur: Terms) -> None:
-            c = other.nums.get(node)
-            if c is not None:
-                _iadd(acc, c, cur)
-            below = kids.get(node, ())
-            for pos, (i, child) in enumerate(below, 1):
-                nxt = cur if pos == len(below) else _copy(cur)
-                _step(nxt, i, 1)
-                walk(child, nxt)
-
-        walk(identity(self.n).images, _open(self.nums))
+        acc = _walk(self.n, _open(self.nums), other.nums, 1)
         return _elt(self.n, *normal_form(_close(acc), self.den * other.den))
 
     def rmul_word(self, word) -> HeckeElt:
@@ -236,10 +206,15 @@ class HeckeElt:
         return _elt(n_new, {im + pad: c for im, c in self.nums.items()}, self.den)
 
     def mirror(self) -> HeckeElt:
-        """Switch all crossings and invert v and s; an involution."""
-        acc: Terms = {}
-        for images, c in self.nums.items():
-            _iadd(acc, c.mirror(), _view(_mirror_basis(images)))
+        """Switch all crossings and invert v and s; an involution.
+
+        Mirroring keeps the diagram's composition order, so the mirror of
+        w_pi = sigma_{w_1}...sigma_{w_k} is sigma_{w_1}^{-1}...sigma_{w_k}^{-1}
+        along pi's canonical word: the walk of the product with sign -1.
+        """
+        one = {identity(self.n).images: {(0, 0): 1}}
+        coeffs = {im: c.mirror() for im, c in self.nums.items()}
+        acc = _walk(self.n, one, coeffs, -1)
         return _elt(self.n, *normal_form(_close(acc), self.den.mirror()))
 
     def is_central(self) -> bool:
@@ -405,21 +380,40 @@ def _rmul_murphy(terms: Terms, j: int, m: int) -> None:
             _step(terms, i, 1)
 
 
-@memo
-def _mirror_basis(images: Images) -> PolyTerms:
-    """Expansion of the crossing-switched braid of w_pi in the braid basis.
+def _walk(n: int, start: Terms, coeffs: PolyTerms, sign: int) -> Terms:
+    """The sum over rho of coeffs[rho] times start stepped along rho's word.
 
-    Mirroring keeps the diagram's composition order, so the mirror of
-    sigma_{w_1}...sigma_{w_k} is sigma_{w_1}^{-1}...sigma_{w_k}^{-1}.
+    Each letter i of rho's canonical word steps by sigma_i^sign.  The words
+    are prefix-closed, so the trie of coeffs' support shares every prefix:
+    each node costs one generator step on its parent's numerators, and the
+    walk holds at most one copy of start per trie level.  start is updated.
     """
-    word = word_of(images)
-    if not word:
-        return {images: _ONE_POLY}
-    # w_pi = w_{pi s_i} sigma_i for the last letter i of pi's reduced word
-    i = word[-1]
-    terms = _open(_mirror_basis(right_gen(images, i)))
-    _step(terms, i, -1)
-    return _close(terms)
+    kids: dict[Images, list[tuple[int, Images]]] = {}
+    seen = set()
+    for rho in coeffs:
+        while rho not in seen:
+            seen.add(rho)
+            word = word_of(rho)
+            if not word:
+                break
+            i = word[-1]
+            parent = right_gen(rho, i)
+            kids.setdefault(parent, []).append((i, rho))
+            rho = parent
+    acc: Terms = {}
+
+    def visit(node: Images, cur: Terms) -> None:
+        c = coeffs.get(node)
+        if c is not None:
+            _iadd(acc, c, cur)
+        below = kids.get(node, ())
+        for pos, (i, child) in enumerate(below, 1):
+            nxt = cur if pos == len(below) else _copy(cur)
+            _step(nxt, i, sign)
+            visit(child, nxt)
+
+    visit(identity(n).images, start)
+    return acc
 
 
 # ---------------------------------------------------------------------------

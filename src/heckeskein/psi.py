@@ -28,11 +28,9 @@ import re
 
 from .coeff import Scalar, memo, s_pow, v_pow
 from .hecke import HeckeElt, add_power_sum_T, lincomb, murphy_series_times
-from .repn import central_scalar
 from .series import TruncSeries
 from .symfun import (
     SymFunc,
-    check_partition,
     complete,
     elementary,
     power_sum,
@@ -83,33 +81,6 @@ def verify_murphy_series(n: int, order: int) -> tuple[bool, dict]:
         "degree_ok": per_degree,
     }
     return all(per_degree), report
-
-
-def psi_eigen_check(n: int, f: SymFunc, parts) -> bool:
-    """Cross-check the eigenvalue of psi(n, f) on the shape lambda.
-
-    The left side runs through the representation machinery; the right side
-    substitutes P_m -> psi_0(P_m) + (s^m - s^{-m}) v^{-m} sum s^{2m*content},
-    summed over the cells of lambda (content c - r in column c, row r),
-    directly into the power-sum expansion of f.
-    """
-    lam = check_partition(parts)
-    if sum(lam) != n:
-        raise ValueError(f"|lambda| = {sum(lam)} but n = {n}")
-    lhs = central_scalar(psi(n, f), lam)
-    contents = [c - r for r, row in enumerate(lam) for c in range(row)]
-    rhs = Scalar.from_int(0)
-    for p, c in to_p(f).items():
-        val = c
-        for m in p:
-            csum = Scalar.from_int(0)
-            for k in contents:
-                csum = csum + s_pow(2 * m * k)
-            val = val * (
-                ev_sym(power_sum(m)) + (s_pow(m) - s_pow(-m)) * v_pow(-m) * csum
-            )
-        rhs = rhs + val
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

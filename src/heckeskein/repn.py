@@ -114,11 +114,6 @@ def tableau_positions(t: Tableau) -> dict[int, tuple[int, int]]:
     return {v: (r, c) for r, row in enumerate(t) for c, v in enumerate(row)}
 
 
-def content_of(t: Tableau, entry: int) -> int:
-    r, c = tableau_positions(t)[entry]
-    return c - r
-
-
 def rho(parts, i: int) -> Matrix:
     """The seminormal matrix of sigma_i on shape lambda."""
     lam = check_partition(parts)

@@ -29,6 +29,10 @@ HeckeElt products and Hecke-valued series (geometric, scale_t, inverse),
 with T(j) built from its own braid word, never through the library's
 Murphy-braid word routine.
 
+The eigenvalue oracle substitutes each power sum's closed-form eigenvalue
+on a shape, from the contents of its cells, into the power-sum expansion
+of f, and compares it with the central scalar of psi_n(f) on that shape.
+
 The inverse routes that only tests take live here too: exact evaluation of
 a Scalar at a rational point, exp of a series (the check on log), and a
 symmetric function rebuilt from its power-sum coordinates as products of
@@ -60,9 +64,17 @@ from heckeskein.coeff import (
 )
 from heckeskein.hecke import HeckeElt, _elt, word_elt
 from heckeskein.perm import Perm, coset_decompose, left_gen, length, right_gen, word_of
-from heckeskein.repn import _class_character, _class_poly, rho, std_tableaux
+from heckeskein.psi import psi
+from heckeskein.repn import (
+    _class_character,
+    _class_poly,
+    central_scalar,
+    rho,
+    std_tableaux,
+    tableau_positions,
+)
 from heckeskein.series import TruncSeries, geometric
-from heckeskein.symfun import SymFunc, power_sum, to_p
+from heckeskein.symfun import SymFunc, check_partition, power_sum, to_p
 from heckeskein.trace import _trace_loops, ev_sym
 
 _L_ONE = IntLaurent.from_int(1)
@@ -412,6 +424,39 @@ def murphy_series_times_dense(n: int, f: TruncSeries, a, b) -> TruncSeries:
     lifted = TruncSeries([HeckeElt.scalar(n, c) for c in f.coeffs])
     hm = murphy_series_dense(n, f.order)
     return lifted * hm.scale_t(b) * hm.scale_t(a).inverse()
+
+
+def content_of(t, entry: int) -> int:
+    """The content column - row of the cell of tableau t that holds entry."""
+    r, c = tableau_positions(t)[entry]
+    return c - r
+
+
+def psi_eigen_check(n: int, f: SymFunc, parts) -> bool:
+    """Cross-check the eigenvalue of psi(n, f) on the shape lambda.
+
+    The left side runs through the representation machinery; the right side
+    substitutes P_m -> psi_0(P_m) + (s^m - s^{-m}) v^{-m} sum s^{2m*content},
+    summed over the cells of lambda (content c - r in column c, row r),
+    directly into the power-sum expansion of f.
+    """
+    lam = check_partition(parts)
+    if sum(lam) != n:
+        raise ValueError(f"|lambda| = {sum(lam)} but n = {n}")
+    lhs = central_scalar(psi(n, f), lam)
+    contents = [c - r for r, row in enumerate(lam) for c in range(row)]
+    rhs = Scalar.from_int(0)
+    for p, c in to_p(f).items():
+        val = c
+        for m in p:
+            csum = Scalar.from_int(0)
+            for k in contents:
+                csum = csum + s_pow(2 * m * k)
+            val = val * (
+                ev_sym(power_sum(m)) + (s_pow(m) - s_pow(-m)) * v_pow(-m) * csum
+            )
+        rhs = rhs + val
+    return lhs == rhs
 
 
 def word_to_perm(n: int, word: list[int]) -> Perm:

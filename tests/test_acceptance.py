@@ -26,7 +26,6 @@ from heckeskein.psi import psi, verify_murphy_series
 from heckeskein.repn import (
     central_scalar,
     closure,
-    content_of,
     partitions_of,
     rep_of,
     std_tableaux,
@@ -41,6 +40,7 @@ from heckeskein.symfun import (
     power_sum,
 )
 from heckeskein.trace import ev_sym, homfly, markov_ev
+from oracles import content_of
 
 
 @contextmanager

@@ -46,6 +46,26 @@ def test_only_coeff_reaches_the_gcd_and_exact_division():
     assert offenders == []
 
 
+def test_only_cli_imports_the_representation_layer():
+    # psi, trace and the layers below them reach the centre and the closure
+    # without tableaux or seminormal matrices; the package's __init__ only
+    # re-exports repn's names.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("cli.py", "repn.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(a.name for a in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "repn" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_benchmark_tracer_installs_and_restores():
     # The benchmark's tracer wraps library names by lookup; a renamed or
     # deleted entry point would make its traced runs fail.
@@ -115,7 +135,7 @@ def test_every_memo_table_is_bounded_and_cleared():
     from heckeskein.coeff import MEMO_SIZE
     from heckeskein.hecke import word_elt
     from heckeskein.psi import psi
-    from heckeskein.repn import closure
+    from heckeskein.repn import closure, std_tableaux
     from heckeskein.symfun import complete, elementary
     from heckeskein.trace import ev_sym, markov_ev
     from oracles import memo_clear, memo_tables
@@ -128,14 +148,15 @@ def test_every_memo_table_is_bounded_and_cleared():
         and any(isinstance(d, ast.Name) and d.id == "memo" for d in node.decorator_list)
     )
     tables = memo_tables()
-    assert len(decorated) == 16
+    assert len(decorated) == 15
     assert sorted(t.__name__ for t in tables) == decorated
     assert all(t.cache_parameters()["maxsize"] == MEMO_SIZE for t in tables)
 
     # touch every table, then empty them all
     psi(2, complete(2) * elementary(2))
     closure(word_elt(3, [1, -2]))
-    markov_ev(word_elt(3, [1, -2]).mirror())
+    markov_ev(word_elt(3, [1, -2]))
+    std_tableaux((2, 1))
     ev_sym(complete(2))
     assert [t.__name__ for t in tables if not t.cache_info().currsize] == []
     memo_clear()
@@ -164,7 +185,7 @@ def test_memo_bound_holds_the_largest_key_space():
         **dict.fromkeys(
             ["identity", "partitions_of", "power_sum", "elementary", "_h_trace"], len(ks)
         ),
-        **dict.fromkeys(["word_of", "_mirror_basis", "_class_poly", "_trace_loops"], braids),
+        **dict.fromkeys(["word_of", "_class_poly", "_trace_loops"], braids),
         **dict.fromkeys(["std_tableaux", "_schur_terms", "_p_monomial"], shapes),
         "_class_character": sum(c * c for c in p),
         "_psi_p": len(ks) * shapes,  # (strands, a partition as prefix)
@@ -173,7 +194,7 @@ def test_memo_bound_holds_the_largest_key_space():
     assert spaces.keys() | {"_gcd_cached"} == {t.__name__ for t in memo_tables()}
     largest = max(spaces.values())
     assert {t for t, size in spaces.items() if size == largest} == {
-        "word_of", "_mirror_basis", "_class_poly", "_trace_loops"
+        "word_of", "_class_poly", "_trace_loops"
     }
     assert (largest, spaces["_class_character"]) == (46234, 919)
     assert MEMO_SIZE >= largest

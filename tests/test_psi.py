@@ -11,12 +11,7 @@ from heckeskein.hecke import (
     power_sum_T,
     t_circle,
 )
-from heckeskein.psi import (
-    parse_element,
-    psi,
-    psi_eigen_check,
-    verify_murphy_series,
-)
+from heckeskein.psi import parse_element, psi, verify_murphy_series
 from heckeskein.repn import partitions_of
 from heckeskein.series import TruncSeries
 from heckeskein.symfun import SymFunc, complete, elementary, power_sum, schur
@@ -27,6 +22,7 @@ from oracles import (
     murphy_series_times_dense,
     power_sum_T_dense,
     psi_dense,
+    psi_eigen_check,
 )
 
 

@@ -19,7 +19,6 @@ from heckeskein.repn import (
     character,
     closure,
     closure_schur,
-    content_of,
     partitions_of,
     rep_of,
     rho,
@@ -37,7 +36,14 @@ from heckeskein.symfun import (
     to_p,
     to_schur,
 )
-from oracles import coxeter_rep, mat_identity, mat_mul, memo_clear, seminormal_character
+from oracles import (
+    content_of,
+    coxeter_rep,
+    mat_identity,
+    mat_mul,
+    memo_clear,
+    seminormal_character,
+)
 
 
 def rand_elt(rng, n, terms=3):
