@@ -4,7 +4,8 @@ Structured JSON goes to stdout (stable term ordering, so output is
 deterministic for fixed inputs); diagnostics go to stderr.  Exit codes:
 0 success / all checks pass, 1 verification failure, 2 usage or parse error,
 3 internal error (an arithmetic, recursion or assertion failure inside the
-library).
+library), 141 (128 + SIGPIPE) stdout closed by its reader before the output
+was written.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .symfun import SymFunc, closed_braid_A, complete, power_sum
 
 MAX_N = 6
 MAX_DEGREE = 8
+MAX_WORD = 64  # letters of a homfly or closure braid word
 DEFAULT_N = 4
 DEFAULT_DEGREE = 4
 
@@ -298,8 +300,13 @@ def cmd_verify(theorem: str, n: int, degree: int) -> tuple[int, list[dict]]:
 
 
 def parse_word(text: str) -> list[int]:
+    tokens = text.split()
+    if len(tokens) > MAX_WORD:
+        raise UsageError(
+            f"braid word has {len(tokens)} letters, more than the bound {MAX_WORD}"
+        )
     out = []
-    for token in text.split():
+    for token in tokens:
         try:
             val = int(token)
         except ValueError:
@@ -482,7 +489,12 @@ def main(argv=None) -> int:
         if args.out:
             _check_writable(args.out)
         code, payload = args.run(args)
-        _emit(payload, args.pretty, args.out, args.render)
+        try:
+            _emit(payload, args.pretty, args.out, args.render)
+        except BrokenPipeError:
+            # the reader closed stdout; point it at devnull so the final flush is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -128,16 +128,9 @@ class IntLaurent:
             return IntLaurent._wrap({(a + ev, b + es): k * c for (a, b), k in terms})
         if len(self.terms) == 1:
             return other * self
-        out: dict[ExpPair, int] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                e = (a1 + a2, b1 + b2)
-                nc = out.get(e, 0) + c1 * c2
-                if nc:
-                    out[e] = nc
-                elif e in out:
-                    del out[e]
-        return IntLaurent._wrap(out)
+        acc: dict[ExpPair, int] = {}
+        mul_into(acc, self.terms, other.terms)
+        return IntLaurent(acc)
 
     def int_mul(self, c: int) -> IntLaurent:
         if c == 0:

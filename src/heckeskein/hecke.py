@@ -16,22 +16,24 @@ returns {key: integer numerator over den}, for its caller to reduce once.
 The characters (keyed by conjugacy class), the loop grades of the Markov
 trace and phi_eval (one key) all pair this way.
 
-Multiplication by a generator is the only structural operation:
+Right multiplication by a generator is the only structural operation:
 
     w_pi . sigma_i = w_{pi s_i}                 if the length goes up,
     w_pi . sigma_i = w_{pi s_i} + z w_pi        if it goes down,
 
-with z = s - s^{-1}, and sigma_i^{-1} = sigma_i - z; sigma_i . w_pi is the
-same with s_i pi.  So sigma_i^{±1} mixes each pair {w_u, w_d}, d = u s_i the
-longer, by a 2x2 matrix invertible over Z[s^{±1}], and braid words keep the
-form canonical.
+with z = s - s^{-1}, and sigma_i^{-1} = sigma_i - z.  So sigma_i^{±1} mixes
+each pair {w_u, w_d}, d = u s_i the longer, by a 2x2 matrix invertible over
+Z[s^{±1}], and braid words keep the form canonical.  The left action is not
+needed: the anti-involution w_pi -> w_{pi^-1} reverses braid words and fixes
+each sigma_i, so sigma_i x is the re-keyed image of x' sigma_i, where x' is
+x re-keyed; `is_central` compares x sigma_i with it.
 
 Numerators in flight are plain integer term maps {images: {(e_v, e_s): int}}
 that one kernel, `_step`, updates in place, a pair of basis braids at a
 time; scaled sums go through coeff.mul_into, and zero terms are dropped once,
-when the result is wrapped as IntLaurents.  Every walk along a braid word
-goes through it: `rmul_word`, the Murphy-braid words, `mirror` and
-`is_central`.  A product x * y and the mirror of y share one walk, `_walk`,
+when the result is wrapped as IntLaurents.  One word walk, `_step_word`,
+steps them along a signed braid word, for `rmul_word` and the Murphy-braid
+words.  A product x * y and the mirror of y share one walk, `_walk`,
 along the prefix trie of y's support: the canonical reduced words are
 prefix-closed, as word_of(rho) minus its last letter i is word_of(rho s_i),
 so each node of the trie costs one generator step on its parent's
@@ -122,9 +124,7 @@ class HeckeElt:
 
     @staticmethod
     def scalar(n: int, c: Scalar) -> HeckeElt:
-        if c.is_zero():
-            return HeckeElt(n)
-        return _elt(n, {identity(n).images: c.num}, c.den)
+        return HeckeElt.identity(n).scale(c)
 
     # -- coefficient-algebra protocol ----------------------------------------------
 
@@ -172,8 +172,7 @@ class HeckeElt:
         """self * sigma_{|i|}^{sign(i)} over the letters i of a braid word."""
         check_word(self.n, word)
         terms = _open(self.nums)
-        for i in word:
-            _step(terms, abs(i), 1 if i > 0 else -1)
+        _step_word(terms, word)
         return _elt(self.n, _close(terms), self.den)
 
     def pair(
@@ -218,11 +217,13 @@ class HeckeElt:
         return _elt(self.n, *normal_form(_close(acc), self.den.mirror()))
 
     def is_central(self) -> bool:
+        """x sigma_i == sigma_i x for every i; sigma_i x is the _rekey of _rekey(x) sigma_i."""
+        flipped = _rekey(self.nums)
         for i in range(1, self.n):
-            x_s, s_x = _open(self.nums), _open(self.nums)
+            x_s, flipped_s = _open(self.nums), _open(flipped)
             _step(x_s, i, 1)
-            _step(s_x, i, 1, left=True)
-            if _close(x_s) != _close(s_x):
+            _step(flipped_s, i, 1)
+            if _close(x_s) != _rekey(_close(flipped_s)):
                 return False
         return True
 
@@ -316,28 +317,27 @@ def _iadd(acc: Terms, k: IntLaurent, terms: Terms) -> None:
         mul_into(out, k, t)
 
 
-def _step(terms: Terms, i: int, sign: int, left: bool = False) -> None:
-    """terms <- terms sigma_i^sign, or sigma_i terms if left (sign 1), in place.
+def _rekey(nums: PolyTerms) -> PolyTerms:
+    """The anti-involution w_pi -> w_{pi^-1}, which reverses words and fixes each sigma_i."""
+    return {
+        tuple(sorted(range(1, len(im) + 1), key=lambda p: im[p - 1])): c
+        for im, c in nums.items()
+    }
 
-    Swapping the entries at positions i, i+1 (at the values i, i+1 on the
-    left) pairs each braid w_u with the longer w_d.  sigma_i sends the pair
-    of coefficients (c_u, c_d) to (c_d, c_u + z c_d); sigma_i^{-1} =
-    sigma_i - z sends (c_d, c_u) to (c_u, c_d - z c_u), the same move with
-    u and d exchanged and z negated.  A term map is moved, not copied, and
-    z c is added to the other one of the pair.
+
+def _step(terms: Terms, i: int, sign: int) -> None:
+    """terms <- terms sigma_i^sign, in place.
+
+    Swapping the entries at positions i, i+1 pairs each braid w_u with the
+    longer w_d.  sigma_i sends the pair of coefficients (c_u, c_d) to
+    (c_d, c_u + z c_d); sigma_i^{-1} = sigma_i - z sends (c_d, c_u) to
+    (c_u, c_d - z c_u), the same move with u and d exchanged and z negated.
+    A term map is moved, not copied, and z c is added to the other one.
     """
     for im in list(terms):
-        if left:
-            a, b = im.index(i), im.index(i + 1)
-            down = a > b
-            swapped = list(im)
-            swapped[a], swapped[b] = i + 1, i
-            other = tuple(swapped)
-        else:
-            p, q = im[i - 1], im[i]
-            down = p > q
-            other = im[:i - 1] + (q, p) + im[i + 1:]
-        if down:
+        p, q = im[i - 1], im[i]
+        other = im[:i - 1] + (q, p) + im[i + 1:]
+        if p > q:
             if other in terms:
                 continue  # the pair moves when its shorter braid comes up
             u, d = other, im
@@ -368,16 +368,10 @@ def _murphy_word(j: int) -> list[int]:
     return list(range(j - 1, 0, -1)) + list(range(1, j))
 
 
-def _rmul_murphy(terms: Terms, j: int, m: int) -> None:
-    """terms <- terms T(j)^m, in place, one letter at a time.
-
-    The letters are positive, so the numerators stay over the same
-    denominator and no gcd is taken.
-    """
-    word = _murphy_word(j)
-    for _ in range(m):
-        for i in word:
-            _step(terms, i, 1)
+def _step_word(terms: Terms, word) -> None:
+    """terms <- terms sigma_{|i|}^{sign(i)} over a braid word, in place, with no gcd."""
+    for i in word:
+        _step(terms, abs(i), 1 if i > 0 else -1)
 
 
 def _walk(n: int, start: Terms, coeffs: PolyTerms, sign: int) -> Terms:
@@ -529,7 +523,7 @@ def add_power_sum_T(x: HeckeElt, m: int, a: Scalar, c: Scalar) -> HeckeElt:
     murphy: Terms = {}
     for j in range(1, x.n + 1):
         terms = _open(x.nums)
-        _rmul_murphy(terms, j, m)
+        _step_word(terms, _murphy_word(j) * m)
         _iadd(murphy, _ONE_POLY, terms)
     # both terms over x.den L, with L the lcm of a.den and c.den
     (ka, kc), ell = over_lcm([(a.num, a.den), (c.num, c.den)])
@@ -569,7 +563,7 @@ def murphy_series_times(
     for j in range(1, n + 1):
         shifted = _copy(coeffs[0])
         for d in coeffs[1:]:
-            _rmul_murphy(shifted, j, 1)
+            _step_word(shifted, _murphy_word(j))
             _iadd(d, kb, shifted)  # d_k, in place
             prev = _copy(d)
             _iadd(d, ka, shifted)  # c_k

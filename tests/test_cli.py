@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from heckeskein import cli
 from heckeskein.cli import main
@@ -142,6 +146,25 @@ def test_out_of_range_letter_exits_2_before_any_move(capsys):
         code, out, err = run(capsys, "homfly", "--strands", "3", "--word", word)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+
+def test_over_long_word_exits_2_before_any_move(capsys, monkeypatch):
+    def expanded(*args):
+        raise AssertionError("expanded a word over the bound")
+
+    monkeypatch.setattr(cli.trace, "word_elt", expanded)
+    monkeypatch.setattr(cli, "word_elt", expanded)
+    # no Markov move applies to the first word, so homfly would expand it
+    for word in ("1 2 " * 33, "1 -1 " * 40):
+        for command in ("homfly", "closure"):
+            code, out, err = run(capsys, command, "--strands", "3", "--word", word)
+            assert (code, out) == (2, "")
+            letters = len(word.split())
+            assert err == f"error: braid word has {letters} letters, more than the bound 64\n"
+    monkeypatch.undo()
+    for command in ("homfly", "closure"):
+        code, out, err = run(capsys, command, "--strands", "3", "--word", "1 2 " * 32)
+        assert (code, err) == (0, "")
 
 
 def test_bad_element_named(capsys):
@@ -345,3 +368,40 @@ def test_cold_answers_equal_warm_answers():
 
     answers(cold=False)
     assert answers(cold=False) == answers(cold=True)
+
+
+# The real entry point, one interpreter per case: `python -m heckeskein`.
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def entry_point(*argv) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen(
+        [sys.executable, "-m", "heckeskein", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+
+
+def test_entry_point_homfly_matches_main(capsys):
+    argv = ("homfly", "--strands", "3", "--word", "1 -2 1 -2")
+    proc = entry_point(*argv)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out.decode(), err.decode()) == run(capsys, *argv)
+    assert proc.returncode == 0 and out.startswith(b'{"polynomial": ')
+
+
+def test_entry_point_over_long_word_exits_2():
+    proc = entry_point("homfly", "--strands", "8", "--word", "1 2 3 4 5 6 7 " * 10)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (2, b"")
+    assert err.decode().startswith("error: braid word has 70 letters")
+
+
+def test_entry_point_closed_stdout_exits_141():
+    # characters --n 6 prints about 500 KB, more than a pipe holds
+    with entry_point("characters", "--n", "6") as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err

@@ -21,7 +21,7 @@ from heckeskein.coeff import (
     z,
 )
 
-from oracles import eval_rational
+from oracles import _eval_poly, eval_rational
 
 
 def rand_scalar(rng, max_exp=2, max_terms=3):
@@ -328,3 +328,60 @@ def test_pow():
     assert z() ** 0 == ONE
     assert z() ** 3 == z() * z() * z()
     assert (s_pow(1) ** -2) == s_pow(-2)
+
+
+def rand_laurent(rng, terms: int) -> IntLaurent:
+    return IntLaurent(
+        {(rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-4, 4) for _ in range(terms)}
+    )
+
+
+def general_product(f: IntLaurent, g: IntLaurent) -> IntLaurent:
+    """f g by a plain double loop over the terms, with no shortcut."""
+    acc = {}
+    for (a1, b1), c1 in f.terms.items():
+        for (a2, b2), c2 in g.terms.items():
+            e = (a1 + a2, b1 + b2)
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return IntLaurent(acc)
+
+
+def test_laurent_product_drops_cancelled_terms():
+    s, s_inv = IntLaurent.monomial(1, 0, 1), IntLaurent.monomial(1, 0, -1)
+    prod = (s + s_inv) * (s - s_inv)
+    assert prod.terms == {(0, 2): 1, (0, -2): -1}
+    # every middle term cancels: (1 + s)(1 - s + s^2 - s^3) = 1 - s^4
+    one = IntLaurent.from_int(1)
+    alt = IntLaurent({(0, 0): 1, (0, 1): -1, (0, 2): 1, (0, 3): -1})
+    assert ((one + s) * alt).terms == {(0, 0): 1, (0, 4): -1}
+    assert (s - s_inv) * (s - s_inv) - (s * s + s_inv * s_inv) == IntLaurent.from_int(-2)
+
+
+def test_laurent_product_hash_matches_a_rebuilt_copy():
+    rng = random.Random(41)
+    for _ in range(50):
+        prod = rand_laurent(rng, 4) * rand_laurent(rng, 5)
+        assert 0 not in prod.terms.values()
+        copy = IntLaurent(dict(reversed(list(prod.terms.items()))))
+        assert copy == prod and hash(copy) == hash(prod)
+
+
+def test_laurent_product_shortcuts_match_the_general_loop():
+    rng = random.Random(42)
+    zero, one = IntLaurent(), IntLaurent.from_int(1)
+    for _ in range(50):
+        f = rand_laurent(rng, 5)
+        c, e_v, e_s = rng.choice([-3, -1, 1, 2]), rng.randint(-2, 2), rng.randint(-2, 2)
+        mono = IntLaurent.monomial(c, e_v, e_s)
+        for g in (zero, one, mono, rand_laurent(rng, 4)):
+            assert f * g == general_product(f, g)
+            assert g * f == general_product(g, f)
+
+
+def test_laurent_product_matches_evaluation():
+    rng = random.Random(43)
+    points = [(Fraction(2), Fraction(3)), (Fraction(-1, 2), Fraction(5, 7))]
+    for _ in range(50):
+        f, g = rand_laurent(rng, rng.randint(0, 6)), rand_laurent(rng, rng.randint(0, 6))
+        for v0, s0 in points:
+            assert _eval_poly(f * g, v0, s0) == _eval_poly(f, v0, s0) * _eval_poly(g, v0, s0)

@@ -13,6 +13,8 @@ import pytest
 from heckeskein.coeff import IntLaurent, Scalar
 from heckeskein.hecke import (
     HeckeElt,
+    _elt,
+    _rekey,
     a_sym,
     h_idem,
     murphy_series,
@@ -102,6 +104,21 @@ def test_dense_square_matches_the_per_braid_walk():
     assert a * a == product_by_words(a, a)
 
 
+def test_rekey_reverses_the_canonical_word():
+    # is_central rests on this: w_pi -> w_{pi^-1} is pi's word read backwards
+    one = IntLaurent.from_int(1)
+    for n in range(1, 6):
+        for p in all_perms(n):
+            rekeyed = _elt(n, _rekey({p.images: one}), one)
+            backwards = word_of(p.images)[::-1]
+            assert rekeyed == rmul_word_by_terms(HeckeElt.identity(n), backwards)
+
+
+def commutes(x: HeckeElt, i: int) -> bool:
+    s_i = word_elt(x.n, [i])
+    return x * s_i == s_i * x
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_is_central_matches_the_reference(n):
     rng = random.Random(200 + n)
@@ -115,6 +132,20 @@ def test_is_central_matches_the_reference(n):
         assert x.is_central() == is_central_by_terms(x)
     if n >= 3:
         assert not murphy_T(2, n).is_central()
+    # over non-unit denominators in both variables
+    bivariate = [Scalar(IntLaurent({(1, -1): 2, (0, 1): -1}), den) for den in DENS[1:3]]
+    # commuting with some sigma_i but not all: a_k in H_n fails only at
+    # sigma_k, and T(j) only at sigma_{j-1} and sigma_j
+    partial = [(a_sym(k).include(n), [k]) for k in range(2, n)]
+    partial += [(murphy_T(j, n), [i for i in (j - 1, j) if i < n]) for j in range(3, n + 1)]
+    for (x, fails), c in zip(partial, bivariate * n):
+        x = x.scale(c)
+        assert [i for i in range(1, n) if not commutes(x, i)] == fails
+        assert not x.is_central() and not is_central_by_terms(x)
+    # a central element plus a small non-central term
+    for c in bivariate:
+        x = t_circle(n).scale(c) + word_elt(n, [1] if n > 1 else []).scale(c * c)
+        assert x.is_central() == is_central_by_terms(x) == (n < 3)
 
 
 @pytest.mark.parametrize("seed", range(3))
