@@ -41,6 +41,7 @@ from .symfun import SymFunc, closed_braid_A, complete, power_sum
 
 MAX_N = 6
 MAX_DEGREE = 8
+MAX_DEGREE_AT_MAX_N = 6  # of verify and psi at n = MAX_N (README "Bounds")
 MAX_WORD = 64  # letters of a homfly or closure braid word
 DEFAULT_N = 4
 DEFAULT_DEGREE = 4
@@ -344,22 +345,36 @@ def cmd_characters(n: int) -> list[dict]:
 
 
 def cmd_psi(n: int, elem: str) -> dict:
-    f = _parse_bounded_element(elem)
+    f = _parse_bounded_element(elem, n)
     return psi_map(n, f).to_json()
 
 
 def cmd_eval(elem: str) -> dict:
-    f = _parse_bounded_element(elem)
+    f = _parse_bounded_element(elem, None)
     return trace.ev_sym(f).to_json()
 
 
-def _parse_bounded_element(elem: str) -> SymFunc:
+def _degree_bound(n: int | None) -> tuple[int, str]:
+    """The degree bound of verify or psi at n (None: no n), and where it holds."""
+    if n == MAX_N:
+        return MAX_DEGREE_AT_MAX_N, f" at --n {n}"
+    return MAX_DEGREE, ""
+
+
+def _parse_bounded_element(elem: str, n: int | None) -> SymFunc:
     # bound the degree before building: e5000 alone would run for minutes
     factors = parse_factors(elem)
     top = sum(degree for _, _, degree in factors)
-    if top > MAX_DEGREE:
-        raise UsageError(f"element degree {top} exceeds the bound {MAX_DEGREE}")
+    bound, where = _degree_bound(n)
+    if top > bound:
+        raise UsageError(f"element degree {top} exceeds the bound {bound}{where}")
     return build_element(factors)
+
+
+def _verify_sizes(n: int, degree: int) -> tuple[int, int]:
+    n = _bounded(n, "--n", 1, MAX_N)
+    bound, where = _degree_bound(n)
+    return n, _bounded(degree, "--degree" + where, 0, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command(
         "verify", "verify a theorem identity exactly",
-        lambda a: cmd_verify(a.theorem, _bounded(a.n, "--n", 1, MAX_N),
-                             _bounded(a.degree, "--degree", 0, MAX_DEGREE)),
+        lambda a: cmd_verify(a.theorem, *_verify_sizes(a.n, a.degree)),
         ("--n", int), ("--degree", int),
         n=DEFAULT_N, degree=DEFAULT_DEGREE, render=_render_verify,
     ).add_argument("theorem", help=f"one of: {', '.join(sorted(CHECKS))}, all")

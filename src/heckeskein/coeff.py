@@ -224,11 +224,13 @@ def _fmt_poly(p: IntLaurent) -> str:
 # the other input's v-coefficients, each in Z[s]; likewise with v and s
 # swapped.  Every denominator the library builds (quantum integers, z, the
 # seminormal factors 1 - s^{-2d}) lies in Z[s], so the fold is the common
-# path.  Its univariate gcd, _dense_gcd, is the subresultant polynomial
-# remainder sequence (PRS) over Z on dense int lists (index = exponent).
-# Only two inputs that each use both variables reach _prs_gcd, a primitive
-# PRS in s over Z[v] on IntLaurent values, whose Z[v] contents are folds of
-# _dense_gcd.
+# path.  Both gcd paths run the primitive polynomial remainder sequence
+# (PRS): make both inputs primitive, then replace (a, b) by (b, the
+# primitive part of a's pseudo-remainder by b) until that remainder is 0 or
+# a constant (Knuth, TAOCP vol. 2, 4.6.1).  _dense_gcd runs it over Z on
+# dense int lists (index = exponent).  Only two inputs that each use both
+# variables reach _prs_gcd, which runs it in s over Z[v] on IntLaurent
+# values, with Z[v] contents that are folds of _dense_gcd.
 # ---------------------------------------------------------------------------
 
 
@@ -238,23 +240,15 @@ def _trim(p: list[int]) -> list[int]:
     return p
 
 
-def _exact(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact coefficient division")
-    return q
-
-
 def _primitive(p: list[int]) -> list[int]:
     c = math.gcd(*p)
     return p if c == 1 else [x // c for x in p]
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder lc(b)^{deg a - deg b + 1} * a mod b.
+    """Pseudo-remainder lc(b)^{deg a - deg b + 1} * a mod b, for deg a >= deg b.
 
-    One step per degree of a from deg a down to deg b, so the power of
-    lc(b) is exact even where the remainder's degree drops by more than one.
+    The PRS keeps only its primitive part, so any power of lc(b) would serve.
     """
     lb, db = b[-1], len(b) - 1
     r = list(a)
@@ -268,33 +262,21 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return _trim(r)
 
 
-def _subresultant_prs(a: list[int], b: list[int]) -> list[int]:
-    """Last nonzero member of the subresultant PRS of a and b (deg a >= deg b)."""
-    g = h = 1
+def _dense_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd over Z of two nonzero dense polynomials by the primitive PRS; lead > 0."""
+    cg = math.gcd(math.gcd(*a), math.gcd(*b))
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
     while len(b) > 1:
-        d = len(a) - len(b)
         r = _pseudo_rem(a, b)
         if not r:
             break
-        divisor = g * h ** d
-        a, b = b, [_exact(c, divisor) for c in r]
-        g = a[-1]
-        if d:
-            h = _exact(g ** d, h ** (d - 1))
-    return b
-
-
-def _dense_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Gcd over Z of two nonzero dense polynomials; its lead is positive."""
-    cg = math.gcd(math.gcd(*a), math.gcd(*b))
-    a, b = _primitive(a), _primitive(b)
-    b = _subresultant_prs(a, b) if len(a) >= len(b) else _subresultant_prs(b, a)
+        a, b = b, _primitive(r)
     if len(b) == 1:
         return [cg]
-    c = math.gcd(*b)
-    if b[-1] < 0:
-        c = -c
-    return [cg * (x // c) for x in b]
+    c = cg if b[-1] > 0 else -cg  # b is primitive: only its sign is left
+    return [c * x for x in b]
 
 
 def _fold_gcd(r: list[int], slices: list[list[int]]) -> list[int]:
@@ -426,7 +408,13 @@ def canon_poly_part(p: IntLaurent) -> IntLaurent:
 
 
 def laurent_divexact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
-    """Exact division f/g in the Laurent ring; raises if not exact."""
+    """Exact division f/g in the Laurent ring; raises if not exact.
+
+    Long division by g's lex-leading term.  If f = q g, every term of q has
+    each exponent at least min f - min g, so a quotient term below that
+    bound proves the division inexact.  The remainder's lead term falls at
+    every step, so each quotient exponent appears once and the loop ends.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
@@ -444,21 +432,17 @@ def laurent_divexact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
         return IntLaurent(out)
     rem = dict(f.terms)
     (ga, gb), gc = g.lex_leading()
+    (fv, fs), (gv, gs) = f.min_exponents(), g.min_exponents()
     quot: dict[ExpPair, int] = {}
-    guard = len(f.terms) * len(g.terms) + len(f.terms) + len(g.terms) + 1000
     while rem:
-        guard -= 1
-        if guard < 0:
-            raise ArithmeticError("inexact division")
         (fa, fb) = max(rem)
-        fc = rem[(fa, fb)]
-        q, r = divmod(fc, gc)
-        if r:
+        q, r = divmod(rem[(fa, fb)], gc)
+        ea, eb = fa - ga, fb - gb
+        if r or ea < fv - gv or eb < fs - gs:
             raise ArithmeticError("inexact division")
-        e = (fa - ga, fb - gb)
-        quot[e] = quot.get(e, 0) + q
+        quot[(ea, eb)] = q
         for (ta, tb), tc in g.terms.items():
-            key = (ta + e[0], tb + e[1])
+            key = (ta + ea, tb + eb)
             nc = rem.get(key, 0) - q * tc
             if nc:
                 rem[key] = nc
@@ -621,8 +605,6 @@ class Scalar:
             return ZERO
         a, b = self.num, self.den
         c, d = other.num, other.den
-        if b.is_one() and d.is_one():
-            return Scalar(a * c, _L_ONE)
         g1 = _L_ONE if d.is_one() else _gcd_cached(a, d)
         g2 = _L_ONE if b.is_one() else _gcd_cached(c, b)
         if not g1.is_one():
@@ -697,13 +679,7 @@ def _poly_json(p: IntLaurent) -> list:
 
 
 def _normalize_coprime(num: IntLaurent, den: IntLaurent) -> Scalar:
-    """Normalize when num/den are known coprime up to units and contents."""
-    if num.is_zero():
-        return ZERO
-    g = math.gcd(num.int_content(), den.int_content())
-    if g > 1:
-        num = IntLaurent({e: c // g for e, c in num.terms.items()})
-        den = IntLaurent({e: c // g for e, c in den.terms.items()})
+    """Normalize a nonzero num over den, coprime to it over Z, contents included."""
     nums, den = _unit({0: num}, den)
     return Scalar._raw(nums[0], den)
 

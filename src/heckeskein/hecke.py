@@ -525,12 +525,8 @@ def add_power_sum_T(x: HeckeElt, m: int, a: Scalar, c: Scalar) -> HeckeElt:
         terms = _open(x.nums)
         _step_word(terms, _murphy_word(j) * m)
         _iadd(murphy, _ONE_POLY, terms)
-    # both terms over x.den L, with L the lcm of a.den and c.den
-    (ka, kc), ell = over_lcm([(a.num, a.den), (c.num, c.den)])
-    acc: Terms = {}
-    _iadd(acc, ka, _view(x.nums))
-    _iadd(acc, kc, murphy)
-    return _elt(x.n, *normal_form(_close(acc), x.den * ell))
+    # x T-sum over x.den, not canonical: lincomb reads only nums and den
+    return lincomb(x.n, [(x, a), (_elt(x.n, _close(murphy), x.den), c)])
 
 
 def murphy_series(n: int, order: int) -> TruncSeries:

@@ -38,6 +38,10 @@ a Scalar at a rational point, exp of a series (the check on log), and a
 symmetric function rebuilt from its power-sum coordinates as products of
 power sums (the check on to_p).
 
+The gcd oracle is Euclid's algorithm over Q in Fractions, made monic: no
+pseudo-remainder and no primitive part, so it shares nothing with the
+library's PRS over Z.
+
 The Coxeter length oracle is the inversion count, never a reduced word.
 A permutation is rebuilt from a word of adjacent transpositions
 (word_to_perm), and coxeter_rep gives a minimal-length element of each
@@ -161,6 +165,26 @@ def symfunc_value(f, xs: list[Fraction], v0, s0) -> Fraction:
 
 def _eval_poly(p, v0: Fraction, s0: Fraction) -> Fraction:
     return sum((c * v0 ** a * s0 ** b for (a, b), c in p.terms.items()), Fraction(0))
+
+
+def _trim_q(p: list[Fraction]) -> list[Fraction]:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def euclid_gcd_q(a: list[int], b: list[int]) -> list[Fraction]:
+    """Monic gcd over Q of two nonzero dense polynomials (index = exponent)."""
+    a, b = _trim_q([Fraction(c) for c in a]), _trim_q([Fraction(c) for c in b])
+    while b:
+        b = [c / b[-1] for c in b]
+        while len(a) >= len(b):
+            q, off = a[-1], len(a) - len(b)
+            for j, c in enumerate(b):
+                a[off + j] -= q * c
+            _trim_q(a)
+        a, b = b, a
+    return a
 
 
 def eval_rational(c: Scalar, v0, s0) -> Fraction:

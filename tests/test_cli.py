@@ -6,8 +6,9 @@ import sys
 import time
 from pathlib import Path
 
-from heckeskein import cli
+from heckeskein import cli, perm
 from heckeskein.cli import main
+from heckeskein.hecke import HeckeElt
 from oracles import memo_clear
 
 
@@ -195,6 +196,7 @@ def test_bounds_enforced(capsys):
         (["verify", "murphy-linear", "--n", "99"], "--n", 1, 6, 99),
         (["verify", "murphy-linear", "--n", "0"], "--n", 1, 6, 0),
         (["verify", "murphy-linear", "--degree", "9"], "--degree", 0, 8, 9),
+        (["verify", "murphy-linear", "--n", "6", "--degree", "7"], "--degree at --n 6", 0, 6, 7),
         (["homfly", "--strands", "0", "--word", "1"], "--strands", 1, 8, 0),
         (["homfly", "--strands", "9", "--word", "1"], "--strands", 1, 8, 9),
         (["closure", "--strands", "7", "--word", "1"], "--strands", 1, 6, 7),
@@ -206,6 +208,63 @@ def test_bounds_enforced(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err == f"error: {flag} must be between {low} and {high}, got {got}\n", argv
+
+
+def test_degree_over_the_n6_bound_exits_2_before_the_library(capsys, monkeypatch):
+    def reached(*args):
+        raise AssertionError("reached the library past the degree bound")
+
+    monkeypatch.setattr(cli, "cmd_verify", reached)
+    monkeypatch.setattr(cli, "build_element", reached)
+    monkeypatch.setattr(cli, "psi_map", reached)
+    for degree in ("7", "8"):
+        code, out, err = run(capsys, "verify", "all", "--n", "6", "--degree", degree)
+        assert (code, out) == (2, "")
+        assert err == f"error: --degree at --n 6 must be between 0 and 6, got {degree}\n"
+    for elem, top in (("h7", 7), ("h8", 8), ("e4*p4", 8), ("2*s(4,3)", 7)):
+        code, out, err = run(capsys, "psi", "--n", "6", "--elem", elem)
+        assert (code, out) == (2, "")
+        assert err == f"error: element degree {top} exceeds the bound 6 at --n 6\n"
+    # the bound is only at n = 6, and degree 6 there is accepted
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda *args: calls.append(args) or (0, []))
+    monkeypatch.setattr(cli, "psi_map", lambda n, f: calls.append(n) or HeckeElt.identity(n))
+    assert run(capsys, "verify", "all", "--n", "6", "--degree", "6")[0] == 0
+    assert run(capsys, "verify", "all", "--n", "5", "--degree", "8")[0] == 0
+    assert run(capsys, "psi", "--n", "6", "--elem", "h6")[0] == 0
+    assert run(capsys, "psi", "--n", "5", "--elem", "h8")[0] == 0
+    assert calls == [("all", 6, 6), ("all", 5, 8), 6, 5]
+
+
+def test_readme_range_table_matches_the_bounds():
+    # the "Command line" table of README.md, row by row: flags and ranges
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand | flags | accepted range |\n")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[1:]:  # below the | --- | line
+        name, flags, accepted = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[name] = (flags, accepted)
+    n, d, d6, w, k = (cli.MAX_N, cli.MAX_DEGREE, cli.MAX_DEGREE_AT_MAX_N,
+                      cli.MAX_WORD, cli.MAX_PERM_N)
+    assert k == perm.MAX_PERM_N
+    assert rows == {
+        "`verify <id>`": (
+            f"`--n N` (default {cli.DEFAULT_N}), `--degree D` (default {cli.DEFAULT_DEGREE})",
+            f"`1 <= N <= {n}`, `0 <= D <= {d}`; `D <= {d6}` when `N = {n}`",
+        ),
+        "`homfly`": (
+            "`--strands K`, `--word W`",
+            f"`1 <= K <= {k}` (`perm.MAX_PERM_N`); `W` at most {w} letters (`cli.MAX_WORD`)",
+        ),
+        "`closure`": ("`--strands K`, `--word W`", f"`1 <= K <= {n}`; `W` at most {w} letters"),
+        "`characters`": ("`--n N`", f"`1 <= N <= {n}`"),
+        "`psi`": (
+            "`--n N`, `--elem E`",
+            f"`0 <= N <= {n}`; degree of `E` at most {d}, and at most {d6} when `N = {n}`",
+        ),
+        "`eval`": ("`--elem E`", f"degree of `E` at most {d}"),
+    }
 
 
 def test_main_calls_the_module_commands(capsys, monkeypatch):

@@ -8,9 +8,9 @@ from heckeskein.coeff import (
     ZERO,
     IntLaurent,
     Scalar,
+    _dense_gcd,
     _prs_gcd,
     _strip_monomial,
-    _subresultant_prs,
     delta,
     laurent_divexact,
     normal_form,
@@ -21,7 +21,7 @@ from heckeskein.coeff import (
     z,
 )
 
-from oracles import _eval_poly, eval_rational
+from oracles import _eval_poly, euclid_gcd_q, eval_rational
 
 
 def rand_scalar(rng, max_exp=2, max_terms=3):
@@ -124,6 +124,14 @@ def test_poly_gcd_fold_matches_prs_random():
         assert poly_gcd(g, f) == ref
 
 
+def dense_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def test_poly_gcd_knuth_pair():
     # TAOCP vol. 2, 4.6.1: a coprime pair whose PRS drops two degrees at once
     A = [-5, 2, 8, -3, -3, 0, 1, 0, 1]
@@ -133,9 +141,10 @@ def test_poly_gcd_knuth_pair():
     def poly(cs, in_s):
         return IntLaurent({((0, i) if in_s else (i, 0)): c for i, c in enumerate(cs) if c})
 
-    # Knuth's subresultant PRS ends in the resultant; a skipped h update
-    # leaves every division exact but gives 4860838707763345551562500
-    assert _subresultant_prs(A, B) == [260708]
+    assert _dense_gcd(A, B) == [1]
+    assert _dense_gcd(
+        [6 * x for x in dense_mul(A, C)], [4 * x for x in dense_mul(B, C)]
+    ) == [2 * x for x in C]
     for in_s in (True, False):
         a, b, c = poly(A, in_s), poly(B, in_s), poly(C, in_s)
         assert poly_gcd(a, b).is_one()
@@ -144,6 +153,24 @@ def test_poly_gcd_knuth_pair():
     a, b = poly(A, True) + v, v * poly(B, True) + s
     cc = v * s + s.int_mul(2) - v
     assert poly_gcd(a * cc, b * cc) == cc
+
+
+def test_dense_gcd_matches_euclid_over_q():
+    # seeded products a*c, b*c with a known common factor c, degrees up to 80
+    rng = random.Random(2024)
+
+    def dense(deg):
+        return [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice((-3, -1, 1, 2, 5))]
+
+    for _ in range(60):
+        c = dense(rng.randint(0, 20))
+        a, b = dense(rng.randint(0, 60)), dense(rng.randint(0, 60))
+        f, g = dense_mul(a, c), dense_mul(b, c)
+        r = _dense_gcd(f, g)
+        assert r == _dense_gcd(g, f)
+        assert r[-1] > 0
+        assert [Fraction(x, r[-1]) for x in r] == euclid_gcd_q(f, g)
+        assert len(r) >= len(c)
 
 
 def test_poly_gcd_bivariate_random():
@@ -298,7 +325,9 @@ def test_fraction_cancellation_random():
 
 
 def test_laurent_divexact_roundtrip():
+    # a b / b is a; a b + m, for a monomial m, is exact or raises
     rng = random.Random(9)
+    raised = 0
     for _ in range(200):
         t1 = {
             (rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(-4, 4)
@@ -312,6 +341,33 @@ def test_laurent_divexact_roundtrip():
         if a.is_zero() or b.is_zero():
             continue
         assert laurent_divexact(a * b, b) == a
+        f = a * b + IntLaurent.monomial(rng.choice((-2, 1, 3)), rng.randint(-3, 3), 0)
+        try:
+            q = laurent_divexact(f, b)
+        except ArithmeticError:
+            raised += 1
+        else:
+            assert q * b == f
+    assert raised > 100
+
+
+def test_laurent_divexact_long_quotient():
+    # an exact quotient of 1100 terms, one long-division step each
+    s = IntLaurent.monomial(1, 0, 1)
+    one = IntLaurent.from_int(1)
+    geometric = IntLaurent({(0, k): 1 for k in range(1100)})
+    assert laurent_divexact(s.shift(0, 1099) - one, s - one) == geometric
+    assert Scalar(s.shift(0, 1099) - one, s - one) == Scalar(geometric, one)
+
+
+def test_laurent_divexact_stops_below_the_exponent_bound():
+    v, s = IntLaurent.monomial(1, 1, 0), IntLaurent.monomial(1, 0, 1)
+    one = IntLaurent.from_int(1)
+    # each raises once a quotient term falls below min f - min g = (0, 0); in
+    # 1 / (v + s^4) that is the first term, v^-1
+    for f, g in ((one, v + s.shift(0, 4)), (one, one - s), (v + s, v - s)):
+        with pytest.raises(ArithmeticError):
+            laurent_divexact(f, g)
 
 
 def test_json_round_trip():
