@@ -191,6 +191,20 @@ _L_ONE = IntLaurent.from_int(1)
 _ONE_TERMS = _L_ONE.terms
 
 
+_DECIMAL_BITS = 13000  # below CPython's 4300-digit limit on str(int)
+
+
+def _decimal(c: int) -> str:
+    """str(c) for an integer of any size, split in halves at a power of 10."""
+    if c.bit_length() <= _DECIMAL_BITS:
+        return str(c)
+    if c < 0:
+        return "-" + _decimal(-c)
+    k = c.bit_length() * 3 // 20  # about half the decimal digits
+    hi, lo = divmod(c, 10**k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
 def _fmt_poly(p: IntLaurent) -> str:
     if p.is_zero():
         return "0"
@@ -203,9 +217,9 @@ def _fmt_poly(p: IntLaurent) -> str:
             mono.append("s" if b == 1 else f"s^{b}")
         body = "*".join(mono)
         if not body:
-            body = str(abs(c))
+            body = _decimal(abs(c))
         elif abs(c) != 1:
-            body = f"{abs(c)}*{body}"
+            body = f"{_decimal(abs(c))}*{body}"
         sign = "-" if c < 0 else "+"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
@@ -230,7 +244,10 @@ def _fmt_poly(p: IntLaurent) -> str:
 # a constant (Knuth, TAOCP vol. 2, 4.6.1).  _dense_gcd runs it over Z on
 # dense int lists (index = exponent).  Only two inputs that each use both
 # variables reach _prs_gcd, which runs it in s over Z[v] on IntLaurent
-# values, with Z[v] contents that are folds of _dense_gcd.
+# values, with Z[v] contents that are folds of _dense_gcd.  No CLI command
+# reaches it (traced over verify all at n <= 5, psi, eval, characters and
+# homfly); it serves library callers whose two inputs both use v and s,
+# such as fractions divided by delta.
 # ---------------------------------------------------------------------------
 
 
@@ -675,7 +692,11 @@ class Scalar:
 
 
 def _poly_json(p: IntLaurent) -> list:
-    return [[a, b, str(c)] for (a, b), c in sorted(p.terms.items())]
+    rows = sorted(p.terms.items())
+    try:  # str() is the fast path; it refuses more than 4300 digits
+        return [[a, b, str(c)] for (a, b), c in rows]
+    except ValueError:
+        return [[a, b, _decimal(c)] for (a, b), c in rows]
 
 
 def _normalize_coprime(num: IntLaurent, den: IntLaurent) -> Scalar:

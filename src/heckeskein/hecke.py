@@ -31,24 +31,26 @@ x re-keyed; `is_central` compares x sigma_i with it.
 Numerators in flight are plain integer term maps {images: {(e_v, e_s): int}}
 that one kernel, `_step`, updates in place, a pair of basis braids at a
 time; scaled sums go through coeff.mul_into, and zero terms are dropped once,
-when the result is wrapped as IntLaurents.  One word walk, `_step_word`,
-steps them along a signed braid word, for `rmul_word` and the Murphy-braid
-words.  A product x * y and the mirror of y share one walk, `_walk`,
-along the prefix trie of y's support: the canonical reduced words are
-prefix-closed, as word_of(rho) minus its last letter i is word_of(rho s_i),
-so each node of the trie costs one generator step on its parent's
-numerators.  The product steps x by sigma_i, as lengths add along reduced
-words; the mirror steps the identity by sigma_i^{-1}.
+when the result is wrapped as IntLaurents.  Only two walks drive the
+kernel.  The word walk, `_step_word`, steps them along a signed braid word:
+for `rmul_word`, and so for `is_central` and the Murphy series, and for the
+power sums of the Murphy braids.  A product x * y and the mirror of y share
+the trie walk, `_walk`, along the prefix trie of y's support: the canonical
+reduced words are prefix-closed, as word_of(rho) minus its last letter i is
+word_of(rho s_i), so each node of the trie costs one generator step on its
+parent's numerators.  The product steps x by sigma_i, as lengths add along
+reduced words; the mirror steps the identity by sigma_i^{-1}.
 
 Sums, scalings and psi's sums go through `lincomb`, normalised once;
 products and the mirror map renormalise once too.  Normalising is
 coeff.normal_form, the same routine that reduces a Scalar: a gcd of den
 folded over the numerators through the shared gcd table, then the unit.
 
-Polynomials in the commuting Murphy braids T(j) (power sums, the Murphy
-series) are built without dense products: the braid word of T(j) acts on
-the numerators letter by letter, with no gcd, and each result is
-normalised once.
+Polynomials in the commuting Murphy braids T(j) are built without dense
+products: the braid word of T(j) acts on the numerators letter by letter,
+with no gcd.  A power sum of the T(j) sums the walks in flight and is
+normalised once; each step of the Murphy series is one rmul_word by the word
+of T(j) and two lincombs, so each coefficient is normalised as it is built.
 """
 
 from __future__ import annotations
@@ -218,14 +220,11 @@ class HeckeElt:
 
     def is_central(self) -> bool:
         """x sigma_i == sigma_i x for every i; sigma_i x is the _rekey of _rekey(x) sigma_i."""
-        flipped = _rekey(self.nums)
-        for i in range(1, self.n):
-            x_s, flipped_s = _open(self.nums), _open(flipped)
-            _step(x_s, i, 1)
-            _step(flipped_s, i, 1)
-            if _close(x_s) != _rekey(_close(flipped_s)):
-                return False
-        return True
+        flipped = _elt(self.n, _rekey(self.nums), self.den)
+        return all(
+            self.rmul_word([i]).nums == _rekey(flipped.rmul_word([i]).nums)
+            for i in range(1, self.n)
+        )
 
     # -- serialization ------------------------------------------------------------------------
 
@@ -539,33 +538,19 @@ def murphy_series_times(
 ) -> TruncSeries:
     """f(t) prod_j (1 - a T(j) t) / (1 - b T(j) t) over H_n, for a Scalar series f.
 
-    Coefficient k is kept as numerators over D L^k, with D the lcm of the
-    denominators of f and L = a.den b.den, so no gcd is taken until each
-    coefficient is normalised once at the end.  For each j, in order of k:
-    d_k = c_k + b d_{k-1} T(j), then c_k <- d_k - a d_{k-1} T(j).  Every
-    coefficient of nonzero degree is a symmetric polynomial in the commuting
-    T(j), and is checked to be central.
+    Coefficient k starts as f_k.  For each j, in order of k, with t =
+    d_{k-1} T(j) one rmul_word: d_k = c_k + b t, then c_k <- d_k - a t, each
+    one lincomb.  Every coefficient of nonzero degree is a symmetric
+    polynomial in the commuting T(j), and is checked to be central.
     """
-    nums, den = over_lcm((c.num, c.den) for c in f.coeffs)
-    one = identity(n).images
-    ell = a.den * b.den
-    dens, coeffs, power = [], [], _ONE_POLY
-    for k in nums:  # f_k over D L^k
-        dens.append(den * power)
-        coeffs.append({} if k.is_zero() else {one: dict((k * power).terms)})
-        power = power * ell
-    # over D L^k, b d_{k-1} T(j) has the numerator b.num a.den T(j) N_{k-1}
-    kb, ka = b.num * a.den, -(a.num * b.den)
+    coeffs = [HeckeElt.scalar(n, c) for c in f.coeffs]
     for j in range(1, n + 1):
-        shifted = _copy(coeffs[0])
-        for d in coeffs[1:]:
-            _step_word(shifted, _murphy_word(j))
-            _iadd(d, kb, shifted)  # d_k, in place
-            prev = _copy(d)
-            _iadd(d, ka, shifted)  # c_k
-            shifted = prev
-    out = [_elt(n, *normal_form(_close(c), d)) for c, d in zip(coeffs, dens)]
-    for c in out[1:]:
+        word, shifted = _murphy_word(j), coeffs[0]
+        for k in range(1, len(coeffs)):
+            t = shifted.rmul_word(word)
+            shifted = lincomb(n, [(coeffs[k], ONE), (t, b)])  # d_k
+            coeffs[k] = lincomb(n, [(shifted, ONE), (t, -a)])
+    for c in coeffs[1:]:
         if not c.is_central():
             raise AssertionError("Murphy series coefficient is not central")
-    return TruncSeries(out)
+    return TruncSeries(coeffs)

@@ -19,7 +19,9 @@ with x = psi_n(p_lambda), a_m = psi_0(P_m) and c_m = (s^m - s^{-m}) v^{-m}:
 the words act on the numerators over x's denominator, and each step
 normalises once, as does the sum over the power-sum expansion of f (one
 `lincomb`).  The right side of the Murphy-series identity multiplies
-the scalar series psi_0(H(t)) by one factor per j in the same way.
+the scalar series psi_0(H(t)) by one factor per j, without dense products
+too: each coefficient step is one rmul_word by the word of T(j) and two
+lincombs, each normalised once.
 """
 
 from __future__ import annotations

@@ -180,6 +180,16 @@ def test_bad_element_named(capsys):
         assert len(err) < 200
 
 
+def test_coefficients_past_the_str_digit_limit_are_printed(capsys):
+    # Three 4000-digit factors multiply to a 12000-digit coefficient, past
+    # the 4300 digits CPython's str(int) accepts; the output spells it out.
+    code, out, err = run(capsys, "eval", "--elem", "*".join(["9" * 4000] * 3))
+    assert (code, err) == (0, "")
+    # (10^4000 - 1)^3 = 10^12000 - 3 10^8000 + 3 10^4000 - 1
+    cube = "9" * 3999 + "7" + "0" * 3999 + "2" + "9" * 4000
+    assert json.loads(out) == {"num": [[0, 0, cube]], "den": [[0, 0, "1"]]}
+
+
 def test_element_degree_rejected_before_building(capsys):
     for elem in ("e5000", "p99999999", "s(" + ",".join(["1"] * 13) + ")", "0*h9"):
         start = time.perf_counter()

@@ -380,6 +380,15 @@ def test_json_round_trip():
         assert all(isinstance(r[2], str) for r in obj["num"] + obj["den"])
 
 
+def test_json_and_repr_past_the_str_digit_limit():
+    c = 10**5000 + 7
+    a = Scalar(IntLaurent({(0, 0): -c, (1, 2): 3}), IntLaurent({(0, 1): 1, (0, 0): 2}))
+    digits = "1" + "0" * 4999 + "7"
+    assert a.to_json()["num"] == [[0, 0, "-" + digits], [1, 2, "3"]]
+    assert repr(Scalar.from_int(c)) == f"Scalar('{digits}')"
+    assert repr(a) == f"Scalar('(3*v*s^2 - {digits}) / (s + 2)')"
+
+
 def test_pow():
     assert z() ** 0 == ONE
     assert z() ** 3 == z() * z() * z()

@@ -30,6 +30,26 @@ def test_only_hecke_reads_the_numerator_form():
     assert offenders == []
 
 
+def test_only_the_walks_drive_the_generator_kernel():
+    # In hecke.py the generator kernel _step runs only inside the word walk
+    # and the trie walk, and over_lcm only inside lincomb; other routines
+    # go through these.
+    callers = {"_step": set(), "over_lcm": set()}
+
+    def scan(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if owner is None and isinstance(child, ast.FunctionDef):
+                inner = child.name
+            if isinstance(child, ast.Name) and child.id in callers:
+                callers[child.id].add(owner)
+            scan(child, inner)
+
+    path = SRC / "hecke.py"
+    scan(ast.parse(path.read_text(), filename=str(path)), None)
+    assert callers == {"_step": {"_step_word", "_walk"}, "over_lcm": {"lincomb"}}
+
+
 def test_only_coeff_reaches_the_gcd_and_exact_division():
     # Every fraction is made canonical by coeff.normal_form, so no other
     # module takes a gcd, divides exactly or normalises a unit itself.

@@ -160,7 +160,13 @@ def test_word_route_matches_dense_murphy_series():
             em = murphy_series_times(n, TruncSeries([ONE], order), -ONE, ZERO)
             assert em == elem_murphy_series_dense(n, order)
             psi0 = TruncSeries([ev_sym(complete(k)) for k in range(order + 1)])
-            for a, b in pairs:
-                assert murphy_series_times(n, psi0, a, b) == murphy_series_times_dense(
-                    n, psi0, a, b
+            # zero coefficients, and an a whose denominator uses v and s
+            gappy = TruncSeries(
+                [ZERO if k % 2 == 0 else c for k, c in enumerate(psi0.coeffs)]
+            )
+            inputs = [(psi0, a, b) for a, b in pairs]
+            inputs.append((gappy, (v_pow(1) - s_pow(1)).inv(), s_pow(1)))
+            for f, a, b in inputs:
+                assert murphy_series_times(n, f, a, b) == murphy_series_times_dense(
+                    n, f, a, b
                 )
