@@ -24,7 +24,7 @@ from .hecke import (
     word_elt,
 )
 from .perm import Perm, all_perms, coset_decompose, length, reduced_word, transposition
-from .psi import parse_element, psi, verify_murphy_series
+from .psi import psi, verify_murphy_series
 from .repn import (
     central_scalar,
     character,
@@ -58,7 +58,7 @@ __all__ = [
     "phi_s", "power_sum_T", "t_circle", "word_elt",
     "Perm", "all_perms", "coset_decompose", "length", "reduced_word",
     "transposition",
-    "parse_element", "psi", "verify_murphy_series",
+    "psi", "verify_murphy_series",
     "central_scalar", "character", "closure", "closure_schur",
     "partitions_of",
     "rep_of", "rho", "std_tableaux",

@@ -27,6 +27,7 @@ from .hecke import (
     e_idem,
     gamma_elt,
     h_idem,
+    lincomb,
     murphy_M,
     murphy_T,
     phi_s,
@@ -225,13 +226,12 @@ def _check_closure_consistency(n: int, degree: int) -> VerifyReport:
 
 
 def _random_elt(rng: random.Random, n: int, perms) -> HeckeElt:
-    out = HeckeElt(n)
+    pairs = []
     for _ in range(rng.randint(1, 3)):
         p = perms[rng.randrange(len(perms))]
         c = Scalar.monomial(rng.randint(-3, 3), rng.randint(-1, 1), rng.randint(-2, 2))
-        if not c.is_zero():
-            out = out + HeckeElt(n, {p: c})
-    return out
+        pairs.append((HeckeElt.basis(p), c))
+    return lincomb(n, pairs)
 
 
 def _check_power(n: int, degree: int) -> VerifyReport:

@@ -591,6 +591,9 @@ class Scalar:
             return self
         b, d = self.den, other.den
         if b.terms == d.terms:
+            if b.terms == _ONE_TERMS:  # a sum over 1 is canonical
+                t = self.num + other.num
+                return Scalar._raw(t, b) if t.terms else ZERO
             return Scalar(self.num + other.num, b)
         g0 = _L_ONE if (b.is_one() or d.is_one()) else _gcd_cached(b, d)
         if g0.is_one():
@@ -703,6 +706,62 @@ def _normalize_coprime(num: IntLaurent, den: IntLaurent) -> Scalar:
     """Normalize a nonzero num over den, coprime to it over Z, contents included."""
     nums, den = _unit({0: num}, den)
     return Scalar._raw(nums[0], den)
+
+
+# ---------------------------------------------------------------------------
+# Fractions over a known denominator: (s - 1)^a (s + 1)^b.
+#
+# The Markov trace of a braid word is a numerator over z^m, and
+# z^m = s^-m (s - 1)^m (s + 1)^m.  Both factors are irreducible and monic, so
+# the canonical form needs no gcd: s - 1 divides num exactly when every
+# v-slice (num's coefficient of one power of v, a polynomial in s) sums to 0,
+# and s + 1 when every slice's alternating sum is 0.  Each division is a
+# synthetic division per slice, exact by construction.
+# ---------------------------------------------------------------------------
+
+
+def over_s_pm1(num: IntLaurent, a: int, b: int) -> Scalar:
+    """The canonical Scalar num / ((s - 1)^a (s + 1)^b), with no gcd or long division."""
+    if not num.terms:
+        return ZERO
+    rows: dict[int, dict[int, int]] = {}
+    for (ev, es), c in num.terms.items():
+        rows.setdefault(ev, {})[es] = c
+    slices = []  # (e_v, lowest e_s, dense coefficients in s)
+    for ev, row in rows.items():
+        lo = min(row)
+        dense = [0] * (max(row) - lo + 1)
+        for e, c in row.items():
+            dense[e - lo] = c
+        slices.append((ev, lo, dense))
+    left = []
+    for r, cap in ((1, a), (-1, b)):
+        while cap and all(sum(p[::2]) + r * sum(p[1::2]) == 0 for _, _, p in slices):
+            slices = [(ev, lo, _synthetic_div(p, r)) for ev, lo, p in slices]
+            cap -= 1
+        left.append(cap)
+    terms = {(ev, lo + i): c for ev, lo, p in slices for i, c in enumerate(p) if c}
+    return Scalar._raw(IntLaurent._wrap(terms), _s_pm1_pow(*left))
+
+
+def _synthetic_div(p: list[int], r: int) -> list[int]:
+    """The quotient q of p = (s - r) q, dense from the lowest power; r = ±1."""
+    q = [0] * (len(p) - 1)
+    acc = 0
+    for k in range(len(p) - 1, 0, -1):
+        acc = p[k] + r * acc
+        q[k - 1] = acc
+    return q
+
+
+@memo
+def _s_pm1_pow(a: int, b: int) -> IntLaurent:
+    """(s - 1)^a (s + 1)^b."""
+    s_minus_1, s_plus_1 = IntLaurent({(0, 1): 1, (0, 0): -1}), IntLaurent({(0, 1): 1, (0, 0): 1})
+    out = _L_ONE
+    for f in (s_minus_1,) * a + (s_plus_1,) * b:
+        out = out * f
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -148,15 +148,3 @@ def build_element(factors: list[Factor]) -> SymFunc:
         else:
             out = out * _BUILDERS[kind](arg)
     return out
-
-
-def parse_element(text: str) -> SymFunc:
-    """Parse the CLI element grammar into an annulus-ring element.
-
-    Factors separated by '*': integers, h<k>, e<k>, p<k>, or s(l1,l2,...).
-
-    >>> parse_element("2*h2*p1").terms == (
-    ...     complete(2) * power_sum(1)).scale(Scalar.from_int(2)).terms
-    True
-    """
-    return build_element(parse_factors(text))

@@ -14,21 +14,28 @@ each b_l in Z[s^±].  The nonzero b_l are cached per basis braid as (l, b_l)
 pairs, the keyed values HeckeElt.pair takes, so the trace of x pairs its
 numerators with every grade at once and, as delta = v^{-1} (1 - v^2) / z,
 sums the grades into one numerator over z^n den against weights in
-1 - v^2 and z built once per strand count, reduced once.
+1 - v^2 and z built once per strand count, reduced once.  When den is 1, as
+for every braid word, the denominator z^n = s^-n (s - 1)^n (s + 1)^n is
+known, and coeff.over_s_pm1 reduces over it without a gcd.
 
 The multiplicative evaluation on the annulus ring sends h_k to the trace of
 the k-strand row idempotent, taken from its closed form (Aiston & Morton,
-JKTR 7 (1998) 463-487) rather than from the k!-term idempotent; the terms
-of a symmetric function are brought over one denominator and reduced once.
+JKTR 7 (1998) 463-487) rather than from the k!-term idempotent.  Its
+denominator is D_k = prod over i <= k of (s^i - s^-i), up to a unit, and
+D_m is a multiple of every h-monomial's of degree at most m (the quotients
+are q-multinomial coefficients in q = s^2).  So the terms of a symmetric
+function of degree m are brought over D_m, from numerators cached per
+monomial, with no lcm, summed in one integer accumulation and reduced once.
 Together with the character closure this gives the consistency check
 markov_ev = ev_sym(closure(.)).
 
 The user-facing `homfly` rescales by the writhe and normalizes the unknot
 to 1, matching published HOMFLY tables in the (v, z) conventions; it takes
-the same sum with one factor delta divided out, again reduced once.  That
-value is invariant under conjugation and stabilisation of the braid (Jones,
-Ann. Math. 126 (1987) 335-388), so after checking every letter `homfly`
-applies these Markov moves until none fits, and expands only what is left:
+the same sum with one factor delta divided out, a numerator over a power of
+z.  That value is invariant under conjugation and stabilisation of the
+braid (Jones, Ann. Math. 126 (1987) 335-388), so after checking every letter
+`homfly` applies these Markov moves until none fits, and expands only what
+is left:
 
 * cancel adjacent letters i, -i, also cyclically across the two ends;
 * if some generator k never occurs, the closure is the split union of the
@@ -37,6 +44,9 @@ applies these Markov moves until none fits, and expands only what is left:
   a x b is conjugate to b a x, which destabilises to b a, conjugate to a b;
 * if sigma_1^{+-1} occurs once, conjugate by the half twist, i -> n-i, and
   destabilise the same way.
+
+The numerators of the split parts multiply, each over its own power of z,
+and the whole is reduced once, over the known denominator.
 """
 
 from __future__ import annotations
@@ -45,10 +55,10 @@ from .coeff import (
     ONE,
     IntLaurent,
     Scalar,
-    delta,
     memo,
     mul_into,
     over_lcm,
+    over_s_pm1,
     s_pow,
     v_pow,
     z,
@@ -57,10 +67,9 @@ from .hecke import HeckeElt, check_word, word_elt
 from .perm import Perm, coset_decompose
 from .symfun import SymFunc
 
-_ZERO_POLY = IntLaurent()
 _ONE_POLY = IntLaurent.from_int(1)
 _Z = z().num
-_DELTA = delta()
+_DELTA_NUM = IntLaurent({(-1, 0): 1, (1, 0): -1})  # delta = (v^-1 - v) / z
 
 
 @memo
@@ -93,26 +102,34 @@ def _grade_weights(n: int, j: int) -> tuple[tuple[IntLaurent, ...], IntLaurent]:
     return weights, z_pows[-1]
 
 
-def _loop_sum(x: HeckeElt, j: int, t: int) -> Scalar:
-    """v^t tr(x) / delta^j, for j = 0, or j = 1 on n >= 1 strands.
+def _loop_num(x: HeckeElt, j: int, t: int) -> IntLaurent:
+    """v^t tr(x) / delta^j as a numerator over z^(n-j) x.den, unreduced.
 
-    With K_l the pairing of x with b_l and delta = v^{-1} (1 - v^2) / z, this
-    is v^(t+j-n) sum over l >= j of K_l (1 - v^2)^(l-j) z^(n-l), over
-    z^(n-j) x.den.  One pairing gives every K_l, and the sum is one integer
-    accumulation against the weights of (n, j).
+    j is 0, or 1 on n >= 1 strands.  With K_l the pairing of x with b_l
+    and delta = v^{-1} (1 - v^2) / z, it is v^(t+j-n) sum over l >= j of
+    K_l (1 - v^2)^(l-j) z^(n-l).  One pairing gives every K_l, and the sum
+    is one integer accumulation against the weights of (n, j).
     """
     n = x.n
-    weights, z_pow = _grade_weights(n, j)
+    weights = _grade_weights(n, j)[0]
     acc: dict[tuple[int, int], int] = {}
     for l, k in x.pair(_trace_loops).items():
         if l >= j:
             mul_into(acc, k.terms, weights[l - j].terms)
-    return Scalar(IntLaurent(acc).shift(t + j - n, 0), z_pow * x.den)
+    return IntLaurent(acc).shift(t + j - n, 0)
+
+
+def _over_z_pow(num: IntLaurent, m: int) -> Scalar:
+    """num / z^m, reduced with no gcd: z^m = s^-m (s - 1)^m (s + 1)^m."""
+    return over_s_pm1(num.shift(0, m), m, m)
 
 
 def markov_ev(x: HeckeElt) -> Scalar:
     """The framed Markov trace: delta per free loop, v^{-1} per curl."""
-    return _loop_sum(x, 0, 0)
+    num = _loop_num(x, 0, 0)
+    if x.den.is_one():
+        return _over_z_pow(num, x.n)
+    return Scalar(num, _grade_weights(x.n, 0)[1] * x.den)
 
 
 @memo
@@ -124,21 +141,53 @@ def _h_trace(k: int) -> Scalar:
     return _h_trace(k - 1) * factor
 
 
+@memo
+def _ev_den(m: int) -> IntLaurent:
+    """D_m = prod over i <= m of (s^i - s^-i), a multiple of every h-monomial's denominator."""
+    out = _ONE_POLY
+    for i in range(1, m + 1):
+        out = out * IntLaurent({(0, i): 1, (0, -i): -1})
+    return out
+
+
+@memo
+def _h_num(parts: tuple[int, ...], m: int) -> IntLaurent:
+    """The numerator over D_m of prod over k in parts of _h_trace(k), for sum(parts) <= m.
+
+    The denominator of _h_trace(k) is D_k up to a unit, and D_m over the
+    product of the D_k is a q-multinomial coefficient (q = s^2) times
+    D_m / D_sum(parts), so the product over D_m has denominator 1.
+    """
+    x = Scalar(_ev_den(m), _ONE_POLY)
+    for k in parts:
+        x = x * _h_trace(k)
+    if not x.den.is_one():
+        raise ArithmeticError(f"h{parts} is not over D_{m}: {x!r}")
+    return x.num
+
+
 def ev_sym(f: SymFunc) -> Scalar:
     """Plane evaluation of the annulus ring: h_k -> markov_ev(h_idem(k)), in closed form.
 
-    Each term c prod _h_trace(k) is one fraction; the fractions are brought
-    over one lcm, their numerators added and the sum reduced once.
+    A single term is one fraction over its own denominator.  Otherwise every
+    h-monomial is put over D_m, m the largest degree, and the coefficients
+    over the lcm of their own denominators (1 for integer coefficients), so
+    the sum is one integer accumulation, reduced once.
     """
-    fracs = []
-    for parts, c in f.terms.items():
+    terms = f.terms
+    if len(terms) == 1:
+        ((parts, c),) = terms.items()
         num, den = c.num, c.den
         for k in parts:
             h = _h_trace(k)
             num, den = num * h.num, den * h.den
-        fracs.append((num, den))
-    nums, den = over_lcm(fracs)
-    return Scalar(sum(nums, _ZERO_POLY), den)
+        return Scalar(num, den)
+    m = max(map(sum, terms), default=0)
+    ks, den = over_lcm((c.num, c.den) for c in terms.values())
+    acc: dict[tuple[int, int], int] = {}
+    for parts, k in zip(terms, ks):
+        mul_into(acc, k.terms, _h_num(parts, m).terms)
+    return Scalar(IntLaurent(acc), den * _ev_den(m))
 
 
 def homfly(n: int, word: list[int]) -> Scalar:
@@ -146,7 +195,7 @@ def homfly(n: int, word: list[int]) -> Scalar:
     if n < 1:
         raise ValueError("need at least one strand")
     check_word(n, word)
-    return _homfly_moved(n, word)
+    return _over_z_pow(*_homfly_moved(n, word))
 
 
 def _cancel(word: list[int]) -> list[int]:
@@ -163,8 +212,8 @@ def _cancel(word: list[int]) -> list[int]:
     return out[lo:hi]
 
 
-def _homfly_moved(n: int, word: list[int]) -> Scalar:
-    """homfly of a checked word, expanded after the Markov moves run out."""
+def _homfly_moved(n: int, word: list[int]) -> tuple[IntLaurent, int]:
+    """homfly of a checked word as (N, m), unreduced N over z^m, after the Markov moves run out."""
     while n > 1:
         word = _cancel(word)
         counts = [0] * n
@@ -174,12 +223,14 @@ def _homfly_moved(n: int, word: list[int]) -> Scalar:
             k = counts.index(0, 1)
             left = [i for i in word if abs(i) < k]
             right = [i - k if i > 0 else i + k for i in word if abs(i) > k]
-            return _DELTA * _homfly_moved(k, left) * _homfly_moved(n - k, right)
+            (nl, ml), (nr, mr) = _homfly_moved(k, left), _homfly_moved(n - k, right)
+            return _DELTA_NUM * nl * nr, 1 + ml + mr
         if counts[n - 1] != 1:
             if counts[1] != 1:
                 writhe = sum(1 if i > 0 else -1 for i in word)
-                return _loop_sum(word_elt(n, word), 1, writhe)
+                # a braid word's element has denominator 1
+                return _loop_num(word_elt(n, word), 1, writhe), n - 1
             word = [n - i if i > 0 else -n - i for i in word]
         del word[next(p for p, i in enumerate(word) if abs(i) == n - 1)]
         n -= 1
-    return ONE
+    return _ONE_POLY, 0

@@ -22,7 +22,10 @@ its in-place kernel: every generator step builds a new {images: IntLaurent}
 map, one IntLaurent product per term, and drops zeros as it goes.  On them
 rest a product that walks the whole canonical word of every braid of the
 right factor, a word action, the mirror map and the centrality test, each
-with no prefix shared; and the trace sum by Horner's rule in 1 - v^2.
+with no prefix shared; and the trace sum by Horner's rule in 1 - v^2,
+reduced by Scalar's gcd route.  The plane evaluation oracle brings the terms
+over the lcm of their own denominators, the route the library took before
+it put every h-monomial over one known denominator.
 
 The dense psi and Murphy-series oracles are the slow route through dense
 HeckeElt products and Hecke-valued series (geometric, scale_t, inverse),
@@ -32,6 +35,10 @@ Murphy-braid word routine.
 The eigenvalue oracle substitutes each power sum's closed-form eigenvalue
 on a shape, from the contents of its cells, into the power-sum expansion
 of f, and compares it with the central scalar of psi_n(f) on that shape.
+
+The parser of the CLI element grammar into one symmetric function lives
+here, as only tests use it; the CLI bounds the degree between parse_factors
+and build_element.
 
 The inverse routes that only tests take live here too: exact evaluation of
 a Scalar at a rational point, exp of a series (the check on log), and a
@@ -63,12 +70,13 @@ from heckeskein.coeff import (
     add_term,
     delta,
     normal_form,
+    over_lcm,
     s_pow,
     v_pow,
 )
 from heckeskein.hecke import HeckeElt, _elt, word_elt
 from heckeskein.perm import Perm, coset_decompose, left_gen, length, right_gen, word_of
-from heckeskein.psi import psi
+from heckeskein.psi import build_element, parse_factors, psi
 from heckeskein.repn import (
     _class_character,
     _class_poly,
@@ -79,7 +87,7 @@ from heckeskein.repn import (
 )
 from heckeskein.series import TruncSeries, geometric
 from heckeskein.symfun import SymFunc, check_partition, power_sum, to_p
-from heckeskein.trace import _trace_loops, ev_sym
+from heckeskein.trace import _h_trace, _trace_loops, ev_sym
 
 _L_ONE = IntLaurent.from_int(1)
 _Z = IntLaurent({(0, 1): 1, (0, -1): -1})
@@ -389,6 +397,19 @@ def loop_sum_horner(x: HeckeElt, j: int, t: int) -> Scalar:
     return Scalar(num.shift(t + j - n, 0), z_pow * x.den)
 
 
+def ev_sym_over_lcm(f: SymFunc) -> Scalar:
+    """ev_sym with each term c prod _h_trace(k) its own fraction, over the lcm of all."""
+    fracs = []
+    for parts, c in f.terms.items():
+        num, den = c.num, c.den
+        for k in parts:
+            h = _h_trace(k)
+            num, den = num * h.num, den * h.den
+        fracs.append((num, den))
+    nums, den = over_lcm(fracs)
+    return Scalar(sum(nums, IntLaurent()), den)
+
+
 def murphy_T_dense(j: int, n: int) -> HeckeElt:
     """T(j) = sigma_{j-1} ... sigma_1 sigma_1 ... sigma_{j-1} in H_n."""
     return word_elt(n, [*range(j - 1, 0, -1), *range(1, j)])
@@ -531,6 +552,14 @@ def inverse(a: Perm) -> Perm:
 def rescale(x: HeckeElt, x_param: Scalar) -> HeckeElt:
     """Writhe rescaling: w_pi -> x^{l(pi)} w_pi termwise."""
     return HeckeElt(x.n, {p: c * x_param ** length(p) for p, c in x.terms.items()})
+
+
+def parse_element(text: str) -> SymFunc:
+    """Parse the CLI element grammar into an annulus-ring element.
+
+    Factors separated by '*': integers, h<k>, e<k>, p<k>, or s(l1,l2,...).
+    """
+    return build_element(parse_factors(text))
 
 
 def memo_tables() -> list:

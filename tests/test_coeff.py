@@ -14,6 +14,7 @@ from heckeskein.coeff import (
     delta,
     laurent_divexact,
     normal_form,
+    over_s_pm1,
     poly_gcd,
     quantum_int,
     s_pow,
@@ -450,3 +451,46 @@ def test_laurent_product_matches_evaluation():
         f, g = rand_laurent(rng, rng.randint(0, 6)), rand_laurent(rng, rng.randint(0, 6))
         for v0, s0 in points:
             assert _eval_poly(f * g, v0, s0) == _eval_poly(f, v0, s0) * _eval_poly(g, v0, s0)
+
+
+_S_MINUS_1 = IntLaurent({(0, 1): 1, (0, 0): -1})
+_S_PLUS_1 = IntLaurent({(0, 1): 1, (0, 0): 1})
+
+
+def _pm1_pow(a, b):
+    out = IntLaurent.from_int(1)
+    for f in [_S_MINUS_1] * a + [_S_PLUS_1] * b:
+        out = out * f
+    return out
+
+
+def test_over_s_pm1_examples():
+    assert over_s_pm1(IntLaurent(), 3, 1) == ZERO
+    assert over_s_pm1(_pm1_pow(2, 1), 2, 1) == ONE
+    # a at the cap: (s - 1)^3 over (s - 1)^2 leaves s - 1 upstairs
+    num = _pm1_pow(3, 0).shift(1, -2)
+    assert over_s_pm1(num, 2, 1) == Scalar(_S_MINUS_1.shift(1, -2), _S_PLUS_1)
+    # z^2 / z^2 with z^m = s^-m (s - 1)^m (s + 1)^m
+    zz = (z() * z()).num
+    assert over_s_pm1(zz.shift(0, 2), 2, 2) == ONE
+
+
+def test_over_s_pm1_matches_the_gcd_route():
+    # numerators divisible by (s - 1)^i (s + 1)^j, with i, j below, at and
+    # above the exponents a, b of the denominator, and a != b
+    rng = random.Random(2026)
+    at_cap = unequal = 0
+    for _ in range(400):
+        a, b = rng.randint(0, 5), rng.randint(0, 5)
+        i, j = rng.randint(0, 6), rng.randint(0, 6)
+        base = {}
+        for _ in range(rng.randint(0, 5)):
+            e = (rng.randint(-3, 3), rng.randint(-4, 4))
+            base[e] = rng.randint(-9, 9)
+        num = IntLaurent(base) * _pm1_pow(i, j)
+        den = _pm1_pow(a, b)
+        got = over_s_pm1(num, a, b)
+        assert got == Scalar(num, den), (num, a, b)
+        at_cap += i == a > 0
+        unequal += a != b
+    assert at_cap >= 20 and unequal >= 200

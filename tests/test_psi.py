@@ -11,7 +11,7 @@ from heckeskein.hecke import (
     power_sum_T,
     t_circle,
 )
-from heckeskein.psi import parse_element, psi, verify_murphy_series
+from heckeskein.psi import psi, verify_murphy_series
 from heckeskein.repn import partitions_of
 from heckeskein.series import TruncSeries
 from heckeskein.symfun import SymFunc, complete, elementary, power_sum, schur
@@ -20,6 +20,7 @@ from oracles import (
     elem_murphy_series_dense,
     murphy_series_dense,
     murphy_series_times_dense,
+    parse_element,
     power_sum_T_dense,
     psi_dense,
     psi_eigen_check,

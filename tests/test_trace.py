@@ -7,9 +7,9 @@ from heckeskein.coeff import ONE, IntLaurent, Scalar, delta, quantum_int, s_pow,
 from heckeskein.hecke import HeckeElt, h_idem, word_elt
 from heckeskein.perm import all_perms
 from heckeskein.repn import closure, partitions_of
-from heckeskein.symfun import SymFunc, complete, schur
+from heckeskein.symfun import SymFunc, complete, elementary, power_sum, schur
 from heckeskein.trace import ev_sym, homfly, markov_ev
-from oracles import markov_trace, memo_clear
+from oracles import ev_sym_over_lcm, markov_trace, memo_clear
 
 
 def rand_elt(rng, n, terms=3):
@@ -85,6 +85,36 @@ def test_ev_sym_h8_builds_no_idempotent(monkeypatch):
     value = ev_sym(complete(8))
     assert value == ev_sym(complete(7)) * (
         v_pow(-1) * s_pow(7) - v_pow(1) * s_pow(-7)) / (s_pow(8) - s_pow(-8))
+
+
+def test_ev_sym_over_one_denominator_matches_the_lcm_route():
+    # several degrees, coefficient denominators such as 1/3, single terms,
+    # and degree 8
+    rng = random.Random(2611)
+    shapes = [lam for d in range(0, 7) for lam in partitions_of(d)]
+    coeffs = [
+        lambda: Scalar.monomial(rng.choice((-2, 1, 3)), rng.randint(-1, 1), rng.randint(-2, 2)),
+        lambda: Scalar.from_fraction(1, 3),
+        lambda: Scalar.from_int(2) / (s_pow(1) + s_pow(-1)),
+        lambda: v_pow(1) / z(),
+    ]
+    for t in range(120):
+        picks = len(coeffs) if t % 3 else 1  # every third element has den-1 coefficients
+        f = SymFunc(
+            {rng.choice(shapes): rng.choice(coeffs[:picks])() for _ in range(rng.randint(1, 5))}
+        )
+        assert ev_sym(f) == ev_sym_over_lcm(f), f
+    for f in (
+        elementary(8),
+        power_sum(8),
+        schur((3, 3, 2)),
+        complete(4) * complete(4) + elementary(8).scale(Scalar.from_fraction(1, 3)),
+        SymFunc.h_monomial((2, 1, 1), Scalar.from_fraction(-5, 3)),
+        SymFunc.h_monomial((8,)),
+        SymFunc.h_monomial((1,) * 8, v_pow(2)),
+        SymFunc.zero(),
+    ):
+        assert ev_sym(f) == ev_sym_over_lcm(f), f
 
 
 def test_ev_sym_multiplicative():
