@@ -720,6 +720,10 @@ def _normalize_coprime(num: IntLaurent, den: IntLaurent) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
+_S_MINUS_1 = IntLaurent({(0, 1): 1, (0, 0): -1})
+_S_PLUS_1 = IntLaurent({(0, 1): 1, (0, 0): 1})
+
+
 def over_s_pm1(num: IntLaurent, a: int, b: int) -> Scalar:
     """The canonical Scalar num / ((s - 1)^a (s + 1)^b), with no gcd or long division."""
     if not num.terms:
@@ -741,7 +745,10 @@ def over_s_pm1(num: IntLaurent, a: int, b: int) -> Scalar:
             cap -= 1
         left.append(cap)
     terms = {(ev, lo + i): c for ev, lo, p in slices for i, c in enumerate(p) if c}
-    return Scalar._raw(IntLaurent._wrap(terms), _s_pm1_pow(*left))
+    den = _L_ONE
+    for f in (_S_MINUS_1,) * left[0] + (_S_PLUS_1,) * left[1]:
+        den = den * f
+    return Scalar._raw(IntLaurent._wrap(terms), den)
 
 
 def _synthetic_div(p: list[int], r: int) -> list[int]:
@@ -752,16 +759,6 @@ def _synthetic_div(p: list[int], r: int) -> list[int]:
         acc = p[k] + r * acc
         q[k - 1] = acc
     return q
-
-
-@memo
-def _s_pm1_pow(a: int, b: int) -> IntLaurent:
-    """(s - 1)^a (s + 1)^b."""
-    s_minus_1, s_plus_1 = IntLaurent({(0, 1): 1, (0, 0): -1}), IntLaurent({(0, 1): 1, (0, 0): 1})
-    out = _L_ONE
-    for f in (s_minus_1,) * a + (s_plus_1,) * b:
-        out = out * f
-    return out
 
 
 # ---------------------------------------------------------------------------

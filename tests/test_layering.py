@@ -168,7 +168,7 @@ def test_every_memo_table_is_bounded_and_cleared():
         and any(isinstance(d, ast.Name) and d.id == "memo" for d in node.decorator_list)
     )
     tables = memo_tables()
-    assert len(decorated) == 18
+    assert len(decorated) == 17
     assert sorted(t.__name__ for t in tables) == decorated
     assert all(t.cache_parameters()["maxsize"] == MEMO_SIZE for t in tables)
 
@@ -187,11 +187,10 @@ def test_every_memo_table_is_bounded_and_cleared():
 def test_memo_bound_holds_the_largest_key_space():
     # Within the bound k <= MAX_PERM_N every table but the gcd table has a
     # finite key space: strand counts or degrees, basis braids of H_k,
-    # partitions of k, or pairs of them (a partition with a degree, or the
-    # exponents of the known denominator (s - 1)^a (s + 1)^b).  The largest
-    # are the braid-keyed tables', one entry per basis braid of H_k; they
-    # fit, so none of them evicts.  The gcd table is keyed by pairs of polynomials and drops its
-    # least recently used pairs.
+    # partitions of k, or pairs of them (a partition with a degree).  The
+    # largest are the braid-keyed tables', one entry per basis braid of H_k;
+    # they fit, so none of them evicts.  The gcd table is keyed by pairs of
+    # polynomials and drops its least recently used pairs.
     from math import factorial
 
     from heckeskein.coeff import MEMO_SIZE
@@ -214,7 +213,6 @@ def test_memo_bound_holds_the_largest_key_space():
         "_grade_weights": 2 * len(ks),  # (strands, j = 0 or 1)
         "_ev_den": len(ks),  # the degree m of D_m
         "_h_num": sum(sum(p[: m + 1]) for m in ks),  # (lambda, m) with |lambda| <= m
-        "_s_pm1_pow": len(ks) ** 2,  # (a, b): exponents of s - 1 and s + 1, at most k
     }
     assert spaces.keys() | {"_gcd_cached"} == {t.__name__ for t in memo_tables()}
     largest = max(spaces.values())
