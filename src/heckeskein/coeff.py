@@ -17,7 +17,10 @@ Canonical form of numerators over one denominator den:
 
 `normal_form` is the one routine that brings numerators over a denominator
 to this form, for a Scalar (one numerator) and a Hecke element (one per
-basis braid) alike.
+basis braid) alike.  Every Scalar field operation builds its result as
+Scalar(num, den), so it reduces through `normal_form` (a sum first brings
+both fractions over the lcm of their denominators); a form over 1 is
+canonical as it stands and `normal_form` returns it unchanged.
 
 This module also keeps the package's one memo policy: every table of
 values the package caches (per basis braid, per partition, or the gcd of a
@@ -296,9 +299,9 @@ def _dense_gcd(a: list[int], b: list[int]) -> list[int]:
     return [c * x for x in b]
 
 
-def _fold_gcd(r: list[int], slices: list[list[int]]) -> list[int]:
-    """Gcd of r and every slice, stopping once it reaches 1."""
-    for c in slices:
+def _fold_gcd(r: list[int], rows: list[tuple[int, int, list[int]]]) -> list[int]:
+    """Gcd of r and the dense coefficients of every row of _rows, stopping at 1."""
+    for _, _, c in rows:
         r = _dense_gcd(r, c)
         if r == [1]:
             break
@@ -324,7 +327,7 @@ def _v_primitive(p: IntLaurent) -> tuple[list[int], IntLaurent]:
 
     The content is a dense list in v; the primitive part has no monomial factor.
     """
-    first, *rest = _slices(p, False)
+    (_, _, first), *rest = _rows(p, False)
     cont = _fold_gcd(first, rest)
     return cont, _strip_monomial(laurent_divexact(p, _from_dense(cont, False)))
 
@@ -382,35 +385,36 @@ def poly_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
         return _prs_gcd(f0, g0)
     # one input lies in one variable (in_s: it lies in Z[s]); fold over the
     # other input's coefficients.  A stripped input in one variable is its
-    # own only slice.
+    # own only row.
     if not (fv and fs):
         uni, other, in_s = f0, g0, not fv
     else:
         uni, other, in_s = g0, f0, not gv
-    (r,) = _slices(uni, in_s)
-    return _from_dense(_fold_gcd(r, _slices(other, in_s)), in_s)
+    ((_, _, r),) = _rows(uni, in_s)
+    return _from_dense(_fold_gcd(r, _rows(other, in_s)), in_s)
 
 
-def _slices(p: IntLaurent, in_s: bool) -> list[list[int]]:
-    """Coefficients of p in Z[s] (in_s) or Z[v], as dense lists.
+def _rows(p: IntLaurent, in_s: bool) -> list[tuple[int, int, list[int]]]:
+    """p's coefficients in Z[s] (in_s) or Z[v], by power of the other variable.
 
-    Each slice drops its lowest power of the main variable.  That keeps the
-    fold in poly_gcd exact, as its running gcd divides a stripped input and
-    so is prime to that variable, and changes a content only by a unit.
+    A row is (that power, its lowest power lo of the main variable, its
+    dense coefficients from lo up).  Dropping s^lo or v^lo keeps the fold in
+    poly_gcd exact, as its running gcd divides a stripped input and so is
+    prime to that variable, and changes a content only by a unit.
     """
+    terms = p.terms.items()
+    if not in_s:
+        terms = (((b, a), c) for (a, b), c in terms)
     rows: dict[int, dict[int, int]] = {}
-    for (a, b), c in p.terms.items():
-        if in_s:
-            rows.setdefault(a, {})[b] = c
-        else:
-            rows.setdefault(b, {})[a] = c
+    for (a, b), c in terms:
+        rows.setdefault(a, {})[b] = c
     out = []
-    for row in rows.values():
+    for a, row in rows.items():
         lo = min(row)
         dense = [0] * (max(row) - lo + 1)
         for e, c in row.items():
             dense[e - lo] = c
-        out.append(dense)
+        out.append((a, lo, dense))
     return out
 
 
@@ -498,10 +502,13 @@ def normal_form(nums: dict, den: IntLaurent) -> tuple[dict, IntLaurent]:
     """Canonical form of the nonzero numerators nums over a nonzero den.
 
     The gcd of den and every numerator is divided out, then the unit.  The
-    keys of nums are kept; with no numerators the result is ({}, 1).
+    keys of nums are kept; with no numerators the result is ({}, 1), and
+    over 1 nums is already canonical and comes back as it is.
     """
     if not nums:
         return {}, _L_ONE
+    if den.terms == _ONE_TERMS:
+        return nums, den
     g = den
     for c in nums.values():
         if g.is_one():
@@ -585,34 +592,8 @@ class Scalar:
     # -- field operations --------------------------------------------------------
 
     def __add__(self, other: Scalar) -> Scalar:
-        if self.num.is_zero():
-            return other
-        if other.num.is_zero():
-            return self
-        b, d = self.den, other.den
-        if b.terms == d.terms:
-            if b.terms == _ONE_TERMS:  # a sum over 1 is canonical
-                t = self.num + other.num
-                return Scalar._raw(t, b) if t.terms else ZERO
-            return Scalar(self.num + other.num, b)
-        g0 = _L_ONE if (b.is_one() or d.is_one()) else _gcd_cached(b, d)
-        if g0.is_one():
-            t = self.num * d + other.num * b
-            if t.is_zero():
-                return ZERO
-            return _normalize_coprime(t, b * d)
-        b1 = laurent_divexact(b, g0)
-        d1 = laurent_divexact(d, g0)
-        t = self.num * d1 + other.num * b1
-        if t.is_zero():
-            return ZERO
-        g1 = _gcd_cached(t, g0)
-        if g1.is_one():
-            return _normalize_coprime(t, b1 * d)
-        return Scalar(
-            laurent_divexact(t, g1),
-            laurent_divexact(b, g1) * d1,
-        )
+        (a, b), den = over_lcm(((self.num, self.den), (other.num, other.den)))
+        return Scalar(a + b, den)
 
     def __neg__(self) -> Scalar:
         return Scalar._raw(-self.num, self.den)
@@ -621,37 +602,19 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other: Scalar) -> Scalar:
-        if self.num.is_zero() or other.num.is_zero():
-            return ZERO
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        g1 = _L_ONE if d.is_one() else _gcd_cached(a, d)
-        g2 = _L_ONE if b.is_one() else _gcd_cached(c, b)
-        if not g1.is_one():
-            a = laurent_divexact(a, g1)
-            d = laurent_divexact(d, g1)
-        if not g2.is_one():
-            c = laurent_divexact(c, g2)
-            b = laurent_divexact(b, g2)
-        return _normalize_coprime(a * c, b * d)
+        return Scalar(self.num * other.num, self.den * other.den)
 
     def inv(self) -> Scalar:
         if self.num.is_zero():
             raise ZeroDivisionError("inverting zero scalar")
-        return _normalize_coprime(self.den, self.num)
+        return Scalar(self.den, self.num)
 
     def __truediv__(self, other: Scalar) -> Scalar:
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        return self * other.inv()
+        return Scalar(self.num * other.den, self.den * other.num)
 
     def int_mul(self, c: int) -> Scalar:
-        if c == 0 or self.num.is_zero():
-            return ZERO
-        if c == 1:
-            return self
-        if self.den.is_one():
-            return Scalar._raw(self.num.int_mul(c), self.den)
         return Scalar(self.num.int_mul(c), self.den)
 
     def __pow__(self, n: int) -> Scalar:
@@ -702,12 +665,6 @@ def _poly_json(p: IntLaurent) -> list:
         return [[a, b, _decimal(c)] for (a, b), c in rows]
 
 
-def _normalize_coprime(num: IntLaurent, den: IntLaurent) -> Scalar:
-    """Normalize a nonzero num over den, coprime to it over Z, contents included."""
-    nums, den = _unit({0: num}, den)
-    return Scalar._raw(nums[0], den)
-
-
 # ---------------------------------------------------------------------------
 # Fractions over a known denominator: (s - 1)^a (s + 1)^b.
 #
@@ -728,23 +685,14 @@ def over_s_pm1(num: IntLaurent, a: int, b: int) -> Scalar:
     """The canonical Scalar num / ((s - 1)^a (s + 1)^b), with no gcd or long division."""
     if not num.terms:
         return ZERO
-    rows: dict[int, dict[int, int]] = {}
-    for (ev, es), c in num.terms.items():
-        rows.setdefault(ev, {})[es] = c
-    slices = []  # (e_v, lowest e_s, dense coefficients in s)
-    for ev, row in rows.items():
-        lo = min(row)
-        dense = [0] * (max(row) - lo + 1)
-        for e, c in row.items():
-            dense[e - lo] = c
-        slices.append((ev, lo, dense))
+    rows = _rows(num, True)
     left = []
     for r, cap in ((1, a), (-1, b)):
-        while cap and all(sum(p[::2]) + r * sum(p[1::2]) == 0 for _, _, p in slices):
-            slices = [(ev, lo, _synthetic_div(p, r)) for ev, lo, p in slices]
+        while cap and all(sum(p[::2]) + r * sum(p[1::2]) == 0 for _, _, p in rows):
+            rows = [(ev, lo, _synthetic_div(p, r)) for ev, lo, p in rows]
             cap -= 1
         left.append(cap)
-    terms = {(ev, lo + i): c for ev, lo, p in slices for i, c in enumerate(p) if c}
+    terms = {(ev, lo + i): c for ev, lo, p in rows for i, c in enumerate(p) if c}
     den = _L_ONE
     for f in (_S_MINUS_1,) * left[0] + (_S_PLUS_1,) * left[1]:
         den = den * f

@@ -43,8 +43,9 @@ reduced words; the mirror steps the identity by sigma_i^{-1}.
 
 Sums, scalings and psi's sums go through `lincomb`, normalised once;
 products and the mirror map renormalise once too.  Normalising is
-coeff.normal_form, the same routine that reduces a Scalar: a gcd of den
-folded over the numerators through the shared gcd table, then the unit.
+coeff.normal_form, the routine through which every Scalar operation
+reduces: a gcd of den folded over the numerators through the shared gcd
+table, then the unit; numerators over 1 are returned as they are.
 
 Polynomials in the commuting Murphy braids T(j) are built without dense
 products: the braid word of T(j) acts on the numerators letter by letter,

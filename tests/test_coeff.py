@@ -40,6 +40,15 @@ def rand_scalar(rng, max_exp=2, max_terms=3):
     return Scalar(IntLaurent(num), d)
 
 
+def assert_canonical(c: Scalar):
+    if c.is_zero():
+        assert c.den.is_one()
+        return
+    assert c.den.min_exponents() == (0, 0)
+    assert c.den.lex_leading()[1] > 0
+    assert poly_gcd(c.num, c.den).is_one()
+
+
 def test_z_delta_cancels():
     assert z() * delta() == v_pow(-1) - v_pow(1)
 
@@ -63,14 +72,7 @@ def test_canonical_den_invariants_random():
     for _ in range(300):
         a = rand_scalar(rng)
         b = rand_scalar(rng)
-        c = a * b + a - b
-        if c.is_zero():
-            assert c.den.is_one()
-            continue
-        mv, ms = c.den.min_exponents()
-        assert mv == 0 and ms == 0
-        assert c.den.lex_leading()[1] > 0
-        assert poly_gcd(c.num, c.den).is_one()
+        assert_canonical(a * b + a - b)
 
 
 def prs_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
@@ -232,6 +234,8 @@ def test_normal_form_random_families():
             g = poly_gcd(g, c)
         assert g.is_one()
         assert normal_form(nums2, den2) == (nums2, den2)
+        # over 1 the numerators are canonical and come back as they are
+        assert normal_form(nums, IntLaurent.from_int(1))[0] is nums
 
 
 def test_quantum_int_examples():
@@ -323,6 +327,93 @@ def test_fraction_cancellation_random():
     for _ in range(300):
         a, b, g = rndpoly(), rndpoly(), rndpoly()
         assert Scalar(a * g, b * g) == Scalar(a, b)
+
+
+def test_field_ops_on_denominators_with_a_shared_factor(monkeypatch):
+    # a = n1 / (g d1) and b = n2 / (g d2), with g, d1, d2 in s alone or in
+    # both v and s and with integer contents: the results must match the
+    # rational values at two points and be canonical.  Both gcd routes of
+    # normal_form run: poly_gcd's fold, for an input in one variable, and
+    # _prs_gcd (whose Z[v] contents are folds too, not counted as the route).
+    import heckeskein.coeff as coeff
+
+    routes = {"fold": 0, "prs": 0}
+    fold, prs = coeff._fold_gcd, coeff._prs_gcd
+
+    def counted_fold(*args):
+        routes["fold"] += routes["in_prs"] == 0
+        return fold(*args)
+
+    def counted_prs(*args):
+        routes["prs"] += 1
+        routes["in_prs"] += 1
+        try:
+            return prs(*args)
+        finally:
+            routes["in_prs"] -= 1
+
+    routes["in_prs"] = 0
+    monkeypatch.setattr(coeff, "_fold_gcd", counted_fold)
+    monkeypatch.setattr(coeff, "_prs_gcd", counted_prs)
+
+    rng = random.Random(2027)
+
+    def rndpoly(in_s_only):
+        while True:
+            p = IntLaurent({
+                (0 if in_s_only else rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)
+                for _ in range(rng.randint(2, 3))
+            })
+            if len(p.terms) > 1:
+                return p.shift(rng.randint(-1, 1), rng.randint(-1, 1))
+
+    def content():
+        return rng.choice((1, 1, 2, -3, 6))
+
+    points = ((Fraction(3), Fraction(2)), (Fraction(-2), Fraction(5, 3)))
+
+    def values(x):
+        out = []
+        for pt in points:
+            try:
+                out.append(eval_rational(x, *pt))
+            except ZeroDivisionError:
+                out.append(None)
+        return out
+
+    checked = 0
+    reached = {"fold": 0, "prs": 0}  # by the operations, not by the checks
+    for _ in range(150):
+        before = dict(routes)
+        g, d1, d2 = (rndpoly(rng.random() < 0.5) for _ in range(3))
+        g = g.int_mul(content())
+        n1 = rndpoly(rng.random() < 0.3).int_mul(content())
+        n2 = rndpoly(rng.random() < 0.3).int_mul(content())
+        a, b = Scalar(n1, g * d1), Scalar(n2, g * d2)
+        results = {
+            "+": (a + b, lambda x, y: x + y),
+            "-": (a - b, lambda x, y: x - y),
+            "*": (a * b, lambda x, y: x * y),
+            "/": (a / b, lambda x, y: x / y if y else None),
+            "inv": (a.inv(), lambda x, y: 1 / x if x else None),
+            **{
+                f"int_mul {c}": (a.int_mul(c), lambda x, y, c=c: c * x)
+                for c in (0, 1, -1, 6)
+            },
+        }
+        zero = a + (-a)
+        for route in reached:
+            reached[route] += routes[route] - before[route]
+        assert zero == ZERO and zero.den.is_one()
+        for op, (got, want) in results.items():
+            assert_canonical(got)
+            for x, y, r in zip(values(a), values(b), values(got)):
+                if x is None or y is None or want(x, y) is None:
+                    continue
+                assert r == want(x, y), (op, a, b)
+                checked += 1
+    assert checked >= 1500
+    assert reached["fold"] > 0 and reached["prs"] > 0, reached
 
 
 def test_laurent_divexact_roundtrip():

@@ -66,6 +66,21 @@ def test_only_coeff_reaches_the_gcd_and_exact_division():
     assert offenders == []
 
 
+def test_scalar_reduces_only_through_its_constructor():
+    # Every Scalar operation builds Scalar(num, den), so normal_form (and
+    # over_lcm, for a sum) is its only reduction; the class names none of
+    # the gcd, exact division or unit routines itself.
+    banned = {"_gcd_cached", "poly_gcd", "laurent_divexact", "_unit", "canon_poly_part"}
+    tree = ast.parse((SRC / "coeff.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Scalar"]
+    offenders = []
+    for node in ast.walk(cls):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in banned:
+            offenders.append(f"coeff.py:{node.lineno} {name}")
+    assert offenders == []
+
+
 def test_only_cli_imports_the_representation_layer():
     # psi, trace and the layers below them reach the centre and the closure
     # without tableaux or seminormal matrices; the package's __init__ only
