@@ -19,7 +19,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import repn, symfun, trace
-from .coeff import ZERO, Scalar, delta, quantum_int, s_pow, v_pow, z
+from .coeff import ZERO, Scalar, quantum_int, s_pow, v_pow, z
 from .hecke import (
     HeckeElt,
     a_sym,
@@ -98,10 +98,9 @@ def _check_murphy_sum_central(n: int, degree: int) -> VerifyReport:
     zz_v = z() * v_pow(-1)
     for m in range(1, n + 1):
         tc = t_circle(m)
-        prev = t_circle(m - 1).include(m) if m > 1 else HeckeElt.scalar(1, delta())
         rep.record(
             f"T^({m}) = T^({m-1}) + z v^-1 T({m})",
-            tc == prev + murphy_T(m, m).scale(zz_v),
+            tc == t_circle(m - 1).include(m) + murphy_T(m, m).scale(zz_v),
         )
         rep.record(f"T^({m}) central in H_{m}", tc.is_central())
     for m in range(1, n + 1):

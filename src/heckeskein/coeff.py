@@ -666,13 +666,13 @@ def _poly_json(p: IntLaurent) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Fractions over a known denominator: (s - 1)^a (s + 1)^b.
+# Fractions over a known denominator: z^m = s^-m (s - 1)^m (s + 1)^m.
 #
-# The Markov trace of a braid word is a numerator over z^m, and
-# z^m = s^-m (s - 1)^m (s + 1)^m.  Both factors are irreducible and monic, so
-# the canonical form needs no gcd: s - 1 divides num exactly when every
-# v-slice (num's coefficient of one power of v, a polynomial in s) sums to 0,
-# and s + 1 when every slice's alternating sum is 0.  Each division is a
+# The Markov trace of an element and homfly are numerators over a power of
+# z.  Both factors s - 1 and s + 1 are irreducible and monic, so the
+# canonical form needs no gcd: s - 1 divides num exactly when every v-slice
+# (num's coefficient of one power of v, a polynomial in s) sums to 0, and
+# s + 1 when every slice's alternating sum is 0.  Each division is a
 # synthetic division per slice, exact by construction.
 # ---------------------------------------------------------------------------
 
@@ -681,21 +681,21 @@ _S_MINUS_1 = IntLaurent({(0, 1): 1, (0, 0): -1})
 _S_PLUS_1 = IntLaurent({(0, 1): 1, (0, 0): 1})
 
 
-def over_s_pm1(num: IntLaurent, a: int, b: int) -> Scalar:
-    """The canonical Scalar num / ((s - 1)^a (s + 1)^b), with no gcd or long division."""
+def over_z_pow(num: IntLaurent, m: int) -> Scalar:
+    """The canonical Scalar num / z^m, with no gcd or long division."""
     if not num.terms:
         return ZERO
     rows = _rows(num, True)
-    left = []
-    for r, cap in ((1, a), (-1, b)):
-        while cap and all(sum(p[::2]) + r * sum(p[1::2]) == 0 for _, _, p in rows):
-            rows = [(ev, lo, _synthetic_div(p, r)) for ev, lo, p in rows]
-            cap -= 1
-        left.append(cap)
-    terms = {(ev, lo + i): c for ev, lo, p in rows for i, c in enumerate(p) if c}
     den = _L_ONE
-    for f in (_S_MINUS_1,) * left[0] + (_S_PLUS_1,) * left[1]:
-        den = den * f
+    for r, f in ((1, _S_MINUS_1), (-1, _S_PLUS_1)):
+        left = m
+        while left and all(sum(p[::2]) + r * sum(p[1::2]) == 0 for _, _, p in rows):
+            rows = [(ev, lo, _synthetic_div(p, r)) for ev, lo, p in rows]
+            left -= 1
+        for _ in range(left):
+            den = den * f
+    # num / z^m = s^m num / ((s - 1)^m (s + 1)^m)
+    terms = {(ev, lo + m + i): c for ev, lo, p in rows for i, c in enumerate(p) if c}
     return Scalar._raw(IntLaurent._wrap(terms), den)
 
 
@@ -761,6 +761,14 @@ def add_term(store: dict, key, val) -> None:
         store.pop(key, None)
     else:
         store[key] = val
+
+
+def dot(pairs) -> IntLaurent:
+    """The sum of f g over pairs (f, g) of IntLaurents: one accumulation, zeros dropped once."""
+    acc: dict[ExpPair, int] = {}
+    for f, g in pairs:
+        mul_into(acc, f.terms, g.terms)
+    return IntLaurent(acc)
 
 
 def mul_into(

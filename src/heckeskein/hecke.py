@@ -173,7 +173,7 @@ class HeckeElt:
 
     def rmul_word(self, word) -> HeckeElt:
         """self * sigma_{|i|}^{sign(i)} over the letters i of a braid word."""
-        check_word(self.n, word)
+        word = check_word(self.n, word)
         terms = _open(self.nums)
         _step_word(terms, word)
         return _elt(self.n, _close(terms), self.den)
@@ -415,11 +415,13 @@ def _walk(n: int, start: Terms, coeffs: PolyTerms, sign: int) -> Terms:
 # ---------------------------------------------------------------------------
 
 
-def check_word(n: int, word) -> None:
-    """Raise ValueError unless every letter i of the braid word has 1 <= |i| <= n - 1."""
+def check_word(n: int, word) -> list[int]:
+    """The braid word as a list; ValueError unless every letter i has 1 <= |i| <= n - 1."""
+    word = list(word)
     for i in word:
         if not 1 <= abs(i) <= n - 1:
             raise ValueError(f"braid letter {i} out of range for {n} strands")
+    return word
 
 
 def word_elt(n: int, word: list[int]) -> HeckeElt:

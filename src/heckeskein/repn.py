@@ -50,10 +50,9 @@ with the Markov trace is an independent check.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterator
 
-from .coeff import ONE, IntLaurent, Scalar, add_term, memo, mul_into, s_pow, z
+from .coeff import ONE, IntLaurent, Scalar, add_term, dot, memo, s_pow, z
 from .hecke import HeckeElt
 from .perm import MAX_PERM_N, cycle_type, left_gen, right_gen, word_of
 from .symfun import Partition, SymFunc, check_partition, from_schur
@@ -223,15 +222,15 @@ def _class_character(lam: Partition, mu: Partition) -> IntLaurent:
     if not mu:
         return _ONE_POLY
     k, rest = mu[-1], mu[:-1]
-    acc: dict[tuple[int, int], int] = {}
+    pairs = []
     for nu in _broken_strips(lam, k):
         rows = sum(part > v for part, v in zip(lam, nu))
         links = sum(lam[i] - nu[i - 1] == 1 for i in range(1, len(lam)))
-        # (-1)^links q^(k - rows) (q - 1)^m s^(1 - k), q = s^2, expanded in s
-        m, e = rows - links - 1, k + 1 - 2 * rows
-        wt = {(0, e + 2 * j): (-1) ** (links + m - j) * comb(m, j) for j in range(m + 1)}
-        mul_into(acc, wt, _class_character(tuple(v for v in nu if v), rest).terms)
-    return IntLaurent(acc)
+        # (-1)^links q^(k - rows) (q - 1)^(rows - links - 1) s^(1 - k), q = s^2
+        wt = Scalar.monomial((-1) ** links, 0, k + 1 - 2 * rows)
+        wt = wt * (s_pow(2) - ONE) ** (rows - links - 1)
+        pairs.append((wt.num, _class_character(tuple(v for v in nu if v), rest)))
+    return dot(pairs)
 
 
 def _broken_strips(lam: Partition, k: int, i: int = 0) -> Iterator[tuple[int, ...]]:
@@ -262,10 +261,7 @@ def _class_coordinates(x: HeckeElt) -> dict[Partition, IntLaurent]:
 
 def _character_num(coords: dict[Partition, IntLaurent], lam: Partition) -> IntLaurent:
     """The numerator of chi_lambda(x): sum over mu of K_mu chi_lambda(w_mu)."""
-    acc: dict[tuple[int, int], int] = {}
-    for mu, k in coords.items():
-        mul_into(acc, k.terms, _class_character(lam, mu).terms)
-    return IntLaurent(acc)
+    return dot((k, _class_character(lam, mu)) for mu, k in coords.items())
 
 
 def character(x: HeckeElt, parts) -> Scalar:

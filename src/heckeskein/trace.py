@@ -14,9 +14,9 @@ each b_l in Z[s^±].  The nonzero b_l are cached per basis braid as (l, b_l)
 pairs, the keyed values HeckeElt.pair takes, so the trace of x pairs its
 numerators with every grade at once and, as delta = v^{-1} (1 - v^2) / z,
 sums the grades into one numerator over z^n den against weights in
-1 - v^2 and z built once per strand count, reduced once.  When den is 1, as
-for every braid word, the denominator z^n = s^-n (s - 1)^n (s + 1)^n is
-known, and coeff.over_s_pm1 reduces over it without a gcd.
+1 - v^2 and z built once per strand count.  The known factor
+z^n = s^-n (s - 1)^n (s + 1)^n is divided out by coeff.over_z_pow with no
+gcd; what is left of it is reduced with den, which is 1 for every braid word.
 
 The multiplicative evaluation on the annulus ring sends h_k to the trace of
 the k-strand row idempotent, taken from its closed form (Aiston & Morton,
@@ -56,10 +56,10 @@ from .coeff import (
     ONE,
     IntLaurent,
     Scalar,
+    dot,
     memo,
-    mul_into,
     over_lcm,
-    over_s_pm1,
+    over_z_pow,
     s_pow,
     v_pow,
     z,
@@ -70,7 +70,7 @@ from .symfun import SymFunc
 
 _ONE_POLY = IntLaurent.from_int(1)
 _Z = z().num
-_DELTA_NUM = IntLaurent({(-1, 0): 1, (1, 0): -1})  # delta = (v^-1 - v) / z
+_DELTA_NUM = (v_pow(-1) - v_pow(1)).num  # delta = (v^-1 - v) / z
 
 
 @memo
@@ -92,15 +92,14 @@ def _trace_loops(images: tuple[int, ...]) -> tuple[tuple[int, IntLaurent], ...]:
 
 
 @memo
-def _grade_weights(n: int, j: int) -> tuple[tuple[IntLaurent, ...], IntLaurent]:
-    """The weights (1 - v^2)^(l-j) z^(n-l) of the grades l = j..n, and z^(n-j)."""
-    one_minus_v2 = IntLaurent({(0, 0): 1, (2, 0): -1})
+def _grade_weights(n: int, j: int) -> tuple[IntLaurent, ...]:
+    """The weights (1 - v^2)^(l-j) z^(n-l) of the grades l = j..n."""
+    one_minus_v2 = (ONE - v_pow(2)).num
     a_pows, z_pows = [_ONE_POLY], [_ONE_POLY]
     for _ in range(j, n):
         a_pows.append(a_pows[-1] * one_minus_v2)
         z_pows.append(z_pows[-1] * _Z)
-    weights = tuple(a_pows[l - j] * z_pows[n - l] for l in range(j, n + 1))
-    return weights, z_pows[-1]
+    return tuple(a_pows[l - j] * z_pows[n - l] for l in range(j, n + 1))
 
 
 def _loop_num(x: HeckeElt, j: int, t: int) -> IntLaurent:
@@ -109,28 +108,23 @@ def _loop_num(x: HeckeElt, j: int, t: int) -> IntLaurent:
     j is 0, or 1 on n >= 1 strands.  With K_l the pairing of x with b_l
     and delta = v^{-1} (1 - v^2) / z, it is v^(t+j-n) sum over l >= j of
     K_l (1 - v^2)^(l-j) z^(n-l).  One pairing gives every K_l, and the sum
-    is one integer accumulation against the weights of (n, j).
+    is one dot with the weights of (n, j).
     """
-    n = x.n
-    weights = _grade_weights(n, j)[0]
-    acc: dict[tuple[int, int], int] = {}
-    for l, k in x.pair(_trace_loops).items():
-        if l >= j:
-            mul_into(acc, k.terms, weights[l - j].terms)
-    return IntLaurent(acc).shift(t + j - n, 0)
-
-
-def _over_z_pow(num: IntLaurent, m: int) -> Scalar:
-    """num / z^m, reduced with no gcd: z^m = s^-m (s - 1)^m (s + 1)^m."""
-    return over_s_pm1(num.shift(0, m), m, m)
+    weights = _grade_weights(x.n, j)
+    grades = x.pair(_trace_loops).items()
+    return dot((k, weights[l - j]) for l, k in grades if l >= j).shift(t + j - x.n, 0)
 
 
 def markov_ev(x: HeckeElt) -> Scalar:
-    """The framed Markov trace: delta per free loop, v^{-1} per curl."""
-    num = _loop_num(x, 0, 0)
+    """The framed Markov trace: delta per free loop, v^{-1} per curl.
+
+    The sum is a numerator over z^n x.den: z^n is divided out first, with no
+    gcd, and whatever of it is left is reduced with x.den.
+    """
+    ev = over_z_pow(_loop_num(x, 0, 0), x.n)
     if x.den.is_one():
-        return _over_z_pow(num, x.n)
-    return Scalar(num, _grade_weights(x.n, 0)[1] * x.den)
+        return ev
+    return Scalar(ev.num, ev.den * x.den)
 
 
 @memo
@@ -147,7 +141,7 @@ def _ev_den(m: int) -> IntLaurent:
     """D_m = prod over i <= m of (s^i - s^-i), a multiple of every h-monomial's denominator."""
     out = _ONE_POLY
     for i in range(1, m + 1):
-        out = out * IntLaurent({(0, i): 1, (0, -i): -1})
+        out = out * (s_pow(i) - s_pow(-i)).num
     return out
 
 
@@ -189,18 +183,15 @@ def ev_sym(f: SymFunc) -> Scalar:
         return Scalar(num, den)
     m = max(map(sum, terms), default=0)
     ks, den = over_lcm((c.num, c.den) for c in terms.values())
-    acc: dict[tuple[int, int], int] = {}
-    for parts, k in zip(terms, ks):
-        mul_into(acc, k.terms, _h_num(parts, m).terms)
-    return Scalar(IntLaurent(acc), den * _ev_den(m))
+    num = dot((k, _h_num(parts, m)) for parts, k in zip(terms, ks))
+    return Scalar(num, den * _ev_den(m))
 
 
 def homfly(n: int, word: list[int]) -> Scalar:
     """Framed-corrected HOMFLY polynomial of the closed braid, unknot = 1."""
     if n < 1:
         raise ValueError("need at least one strand")
-    check_word(n, word)
-    return _over_z_pow(*_homfly_moved(n, word))
+    return over_z_pow(*_homfly_moved(n, check_word(n, word)))
 
 
 def _cancel(word: list[int]) -> list[int]:

@@ -14,7 +14,7 @@ from heckeskein.coeff import (
     delta,
     laurent_divexact,
     normal_form,
-    over_s_pm1,
+    over_z_pow,
     poly_gcd,
     quantum_int,
     s_pow,
@@ -555,33 +555,35 @@ def _pm1_pow(a, b):
     return out
 
 
-def test_over_s_pm1_examples():
-    assert over_s_pm1(IntLaurent(), 3, 1) == ZERO
-    assert over_s_pm1(_pm1_pow(2, 1), 2, 1) == ONE
-    # a at the cap: (s - 1)^3 over (s - 1)^2 leaves s - 1 upstairs
-    num = _pm1_pow(3, 0).shift(1, -2)
-    assert over_s_pm1(num, 2, 1) == Scalar(_S_MINUS_1.shift(1, -2), _S_PLUS_1)
+def test_over_z_pow_examples():
+    assert over_z_pow(IntLaurent(), 3) == ZERO
     # z^2 / z^2 with z^m = s^-m (s - 1)^m (s + 1)^m
     zz = (z() * z()).num
-    assert over_s_pm1(zz.shift(0, 2), 2, 2) == ONE
+    assert over_z_pow(zz, 2) == ONE
+    # above the cap: v s^-2 (s - 1)^3 over z^2 leaves s - 1 upstairs
+    num = _pm1_pow(3, 0).shift(1, -2)
+    assert over_z_pow(num, 2) == Scalar(_S_MINUS_1.shift(1, 0), _pm1_pow(0, 2))
+    assert over_z_pow(num, 0) == Scalar(num, IntLaurent.from_int(1))
 
 
-def test_over_s_pm1_matches_the_gcd_route():
-    # numerators divisible by (s - 1)^i (s + 1)^j, with i, j below, at and
-    # above the exponents a, b of the denominator, and a != b
+def test_over_z_pow_matches_the_gcd_route():
+    # numerators divisible by (s - 1)^i (s + 1)^j, with i and j below, at
+    # and above the power m of z; with i != j the divisions by s - 1 and by
+    # s + 1 stop after different counts
     rng = random.Random(2026)
-    at_cap = unequal = 0
+    at_cap = below = above = unequal = 0
     for _ in range(400):
-        a, b = rng.randint(0, 5), rng.randint(0, 5)
+        m = rng.randint(0, 5)
         i, j = rng.randint(0, 6), rng.randint(0, 6)
         base = {}
         for _ in range(rng.randint(0, 5)):
             e = (rng.randint(-3, 3), rng.randint(-4, 4))
             base[e] = rng.randint(-9, 9)
         num = IntLaurent(base) * _pm1_pow(i, j)
-        den = _pm1_pow(a, b)
-        got = over_s_pm1(num, a, b)
-        assert got == Scalar(num, den), (num, a, b)
-        at_cap += i == a > 0
-        unequal += a != b
-    assert at_cap >= 20 and unequal >= 200
+        got = over_z_pow(num, m)
+        assert got == Scalar(num, (z() ** m).num), (num, m)
+        at_cap += m > 0 and m in (i, j)
+        below += min(i, j) < m
+        above += max(i, j) > m
+        unequal += i != j
+    assert at_cap >= 20 and below >= 20 and above >= 20 and unequal >= 200

@@ -49,10 +49,18 @@ def rand_poly(rng) -> IntLaurent:
     )
 
 
-def rand_elt(rng, n: int, terms: int) -> HeckeElt:
-    """About `terms` random basis braids of H_n over one random denominator."""
+# denominators that share s - 1, (s + 1)^2 or z = s - s^-1 with a power of z
+Z_DENS = [
+    IntLaurent({(0, 1): 1, (0, 0): -1}),
+    IntLaurent({(0, 2): 1, (0, 1): 2, (0, 0): 1}),
+    IntLaurent({(0, 1): 1, (0, -1): -1}),
+]
+
+
+def rand_elt(rng, n: int, terms: int, dens=DENS) -> HeckeElt:
+    """About `terms` random basis braids of H_n over one denominator drawn from dens."""
     perms = list(all_perms(n))
-    den = rng.choice(DENS)
+    den = rng.choice(dens)
     picks = rng.sample(perms, min(terms, len(perms)))
     return HeckeElt(n, {p: Scalar(rand_poly(rng), den) for p in picks})
 
@@ -64,6 +72,20 @@ def rand_word(rng, n: int, length: int) -> list[int]:
 
 def inverse_word(word: list[int]) -> list[int]:
     return [-i for i in reversed(word)]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_one_shot_words_are_walked_whole(seed):
+    # a braid word may be any iterable: checking its letters must not use
+    # up an iterator before the walk reads it
+    rng = random.Random(500 + seed)
+    for n in range(1, 7):
+        for _ in range(4):
+            w = rand_word(rng, n, rng.randint(n, 3 * n))
+            x = rand_elt(rng, n, 4)
+            assert x.rmul_word(iter(w)) == x.rmul_word(w)
+            assert word_elt(n, iter(w)) == word_elt(n, w)
+            assert homfly(n, iter(w)) == homfly(n, w)
 
 
 def test_canonical_words_are_prefix_closed():
@@ -161,9 +183,9 @@ def test_mirror_matches_the_reference(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_trace_sums_match_horner(seed):
-    # over a denominator the trace is reduced by the gcd route; over 1, as
-    # for braid words, by dividing out the known z^n, and homfly by the
-    # known power of z left after the Markov moves
+    # the trace divides out the known z^n with no gcd, then reduces what is
+    # left of it with the element's denominator (1 for braid words); homfly
+    # divides out the known power of z left after the Markov moves
     rng = random.Random(400 + seed)
     for n in range(1, 7):
         x = rand_elt(rng, n, 6)
@@ -180,3 +202,8 @@ def test_trace_sums_match_horner(seed):
             ref = loop_sum_horner(rmul_word_by_terms(HeckeElt.identity(n), w), 1, writhe)
             assert homfly(n, w) == ref
             assert markov_ev(word_elt(n, w)) == loop_sum_horner(word_elt(n, w), 0, 0)
+        # over a denominator that shares a factor with z^n, markov_ev leaves
+        # part of z^n for the reduction with that denominator
+        for _ in range(3):
+            x = rand_elt(rng, n, 6, Z_DENS)
+            assert markov_ev(x) == loop_sum_horner(x, 0, 0)

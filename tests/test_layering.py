@@ -66,6 +66,31 @@ def test_only_coeff_reaches_the_gcd_and_exact_division():
     assert offenders == []
 
 
+def test_only_coeff_and_hecke_write_integer_term_maps():
+    # The term map {(e_v, e_s): int} stays behind coeff and hecke's kernel:
+    # other modules build polynomials from coeff's public symbols and sum
+    # products with dot, so none imports the accumulation or the retired
+    # reduction over (s - 1)^a (s + 1)^b, or hands IntLaurent a dict.
+    banned = {"mul_into", "over_s_pm1"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("coeff.py", "hecke.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.name.split(".")[-1] in banned:
+                        offenders.append(f"{path.name}:{node.lineno} {alias.name}")
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                args = node.args + [k.value for k in node.keywords]
+                if name == "IntLaurent" and any(
+                    isinstance(a, (ast.Dict, ast.DictComp)) for a in args
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} IntLaurent")
+    assert offenders == []
+
+
 def test_scalar_reduces_only_through_its_constructor():
     # Every Scalar operation builds Scalar(num, den), so normal_form (and
     # over_lcm, for a sum) is its only reduction; the class names none of
