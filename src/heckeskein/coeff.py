@@ -20,11 +20,16 @@ to this form, for a Scalar (one numerator) and a Hecke element (one per
 basis braid) alike.  Every Scalar field operation builds its result as
 Scalar(num, den), so it reduces through `normal_form` (a sum first brings
 both fractions over the lcm of their denominators); a form over 1 is
-canonical as it stands and `normal_form` returns it unchanged.
+canonical as it stands and `normal_form` returns it unchanged.  Every
+denominator the commands build (quantum integers, z, D_m, psi's images and
+the idempotents) lies in Z[s] up to a monomial, and `normal_form`,
+`poly_lcm` and `over_lcm` reduce those on dense coefficient rows in s;
+only a denominator with two powers of v takes IntLaurent gcds and long
+division.
 
 This module also keeps the package's one memo policy: every table of
 values the package caches (per basis braid, per partition, or the gcd of a
-pair of polynomials) is a `memo`, an LRU table of MEMO_SIZE entries.
+pair of dense polynomials) is a `memo`, an LRU table of MEMO_SIZE entries.
 
 >>> z() * delta() == v_pow(-1) - v_pow(1)
 True
@@ -239,14 +244,16 @@ def _fmt_poly(p: IntLaurent) -> str:
 # after stripping monomial content.  If one input lies in Z[s], so does every
 # common factor, and the gcd is a fold of univariate gcds of that input with
 # the other input's v-coefficients, each in Z[s]; likewise with v and s
-# swapped.  Every denominator the library builds (quantum integers, z, the
-# seminormal factors 1 - s^{-2d}) lies in Z[s], so the fold is the common
-# path.  Both gcd paths run the primitive polynomial remainder sequence
-# (PRS): make both inputs primitive, then replace (a, b) by (b, the
-# primitive part of a's pseudo-remainder by b) until that remainder is 0 or
-# a constant (Knuth, TAOCP vol. 2, 4.6.1).  _dense_gcd runs it over Z on
-# dense int lists (index = exponent).  Only two inputs that each use both
-# variables reach _prs_gcd, which runs it in s over Z[v] on IntLaurent
+# swapped.  Every denominator the commands build lies in Z[s] up to a
+# monomial, so the common path never forms an IntLaurent gcd: normal_form
+# folds _dense_gcd over the numerators' s-rows through _gcd_cached, the one
+# gcd table, keyed by dense coefficient tuples, and divides by the result
+# with _dense_div.  Both gcd paths run the primitive polynomial remainder
+# sequence (PRS): make both inputs primitive, then replace (a, b) by (b,
+# the primitive part of a's pseudo-remainder by b) until that remainder is
+# 0 or a constant (Knuth, TAOCP vol. 2, 4.6.1).  _dense_gcd runs it over Z
+# on dense int sequences (index = exponent).  Only two inputs that each use
+# both variables reach _prs_gcd, which runs it in s over Z[v] on IntLaurent
 # values, with Z[v] contents that are folds of _dense_gcd.  No CLI command
 # reaches it (traced over verify all at n <= 5, psi, eval, characters and
 # homfly); it serves library callers whose two inputs both use v and s,
@@ -282,7 +289,7 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return _trim(r)
 
 
-def _dense_gcd(a: list[int], b: list[int]) -> list[int]:
+def _dense_gcd(a, b) -> list[int]:
     """Gcd over Z of two nonzero dense polynomials by the primitive PRS; lead > 0."""
     cg = math.gcd(math.gcd(*a), math.gcd(*b))
     a, b = _primitive(a), _primitive(b)
@@ -299,16 +306,47 @@ def _dense_gcd(a: list[int], b: list[int]) -> list[int]:
     return [c * x for x in b]
 
 
-def _fold_gcd(r: list[int], rows: list[tuple[int, int, list[int]]]) -> list[int]:
+@memo
+def _gcd_cached(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(_dense_gcd(a, b))
+
+
+_DENSE_ONE = (1,)
+
+
+def _fold_gcd(r: tuple[int, ...], rows) -> tuple[int, ...]:
     """Gcd of r and the dense coefficients of every row of _rows, stopping at 1."""
     for _, _, c in rows:
-        r = _dense_gcd(r, c)
-        if r == [1]:
+        r = _gcd_cached(r, c)
+        if r == _DENSE_ONE:
             break
     return r
 
 
-def _from_dense(p: list[int], in_s: bool) -> IntLaurent:
+def _dense_div(p: tuple[int, ...], g: tuple[int, ...]) -> list[int]:
+    """The quotient of p by g, which divides it exactly, dense from the lowest power."""
+    r = list(p)
+    dg, lg = len(g) - 1, g[-1]
+    q = [0] * (len(r) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + dg] // lg
+        if c:
+            for j in range(dg):
+                r[k + j] -= c * g[j]
+    return q
+
+
+def _div_rows(rows, g: tuple[int, ...], a: int, lo: int, sign: int) -> IntLaurent:
+    """sign v^-a s^-lo / g times the polynomial with these _rows; g divides each row."""
+    return IntLaurent._wrap({
+        (ev - a, e - lo + i): sign * c
+        for ev, e, p in rows
+        for i, c in enumerate(p if g == _DENSE_ONE else _dense_div(p, g))
+        if c
+    })
+
+
+def _from_dense(p, in_s: bool) -> IntLaurent:
     """Dense coefficients of a polynomial in s (in_s) or in v -> IntLaurent."""
     return IntLaurent({((0, i) if in_s else (i, 0)): c for i, c in enumerate(p) if c})
 
@@ -322,10 +360,10 @@ def _s_coeff(p: IntLaurent, k: int) -> IntLaurent:
     return IntLaurent({(a, 0): c for (a, b), c in p.terms.items() if b == k})
 
 
-def _v_primitive(p: IntLaurent) -> tuple[list[int], IntLaurent]:
+def _v_primitive(p: IntLaurent) -> tuple[tuple[int, ...], IntLaurent]:
     """Content of p in Z[v] up to a unit, and its primitive part.
 
-    The content is a dense list in v; the primitive part has no monomial factor.
+    The content is dense in v; the primitive part has no monomial factor.
     """
     (_, _, first), *rest = _rows(p, False)
     cont = _fold_gcd(first, rest)
@@ -394,7 +432,7 @@ def poly_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
     return _from_dense(_fold_gcd(r, _rows(other, in_s)), in_s)
 
 
-def _rows(p: IntLaurent, in_s: bool) -> list[tuple[int, int, list[int]]]:
+def _rows(p: IntLaurent, in_s: bool) -> list[tuple[int, int, tuple[int, ...]]]:
     """p's coefficients in Z[s] (in_s) or Z[v], by power of the other variable.
 
     A row is (that power, its lowest power lo of the main variable, its
@@ -414,7 +452,7 @@ def _rows(p: IntLaurent, in_s: bool) -> list[tuple[int, int, list[int]]]:
         dense = [0] * (max(row) - lo + 1)
         for e, c in row.items():
             dense[e - lo] = c
-        out.append((a, lo, dense))
+        out.append((a, lo, tuple(dense)))
     return out
 
 
@@ -481,7 +519,11 @@ def poly_lcm(a: IntLaurent, b: IntLaurent) -> IntLaurent:
         return a
     if a.is_one():
         return b
-    return a * laurent_divexact(b, _gcd_cached(a, b))
+    ra, rb = _rows(a, True), _rows(b, True)
+    if len(ra) == len(rb) == 1:  # both lie in Z[s] up to a monomial
+        ((_, _, da),), ((_, _, db),) = ra, rb
+        return a * _div_rows(rb, _gcd_cached(da, db), 0, 0, 1)
+    return a * laurent_divexact(b, poly_gcd(a, b))
 
 
 def over_lcm(pairs) -> tuple[list[IntLaurent], IntLaurent]:
@@ -490,12 +532,16 @@ def over_lcm(pairs) -> tuple[list[IntLaurent], IntLaurent]:
     den = _L_ONE
     for _, d in pairs:
         den = poly_lcm(den, d)
-    return [k if d == den else k * laurent_divexact(den, d) for k, d in pairs], den
+    return [k if d == den else k * _divexact(den, d) for k, d in pairs], den
 
 
-@memo
-def _gcd_cached(f: IntLaurent, g: IntLaurent) -> IntLaurent:
-    return poly_gcd(f, g)
+def _divexact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
+    """f / g, for a g that divides f: on dense rows when both lie in Z[s] up to a monomial."""
+    rf, rg = _rows(f, True), _rows(g, True)
+    if len(rf) == len(rg) == 1:
+        ((a, lo, q),) = rg
+        return _div_rows(rf, q, a, lo, 1)
+    return laurent_divexact(f, g)
 
 
 def normal_form(nums: dict, den: IntLaurent) -> tuple[dict, IntLaurent]:
@@ -503,17 +549,41 @@ def normal_form(nums: dict, den: IntLaurent) -> tuple[dict, IntLaurent]:
 
     The gcd of den and every numerator is divided out, then the unit.  The
     keys of nums are kept; with no numerators the result is ({}, 1), and
-    over 1 nums is already canonical and comes back as it is.
+    over 1 nums is already canonical and comes back as it is.  A den in
+    Z[s] up to a monomial v^a s^lo, as every den the commands build, is
+    reduced on dense rows: the gcd folds over each numerator's s-rows
+    through the gcd table, and only a gcd other than 1 is divided out.
     """
     if not nums:
         return {}, _L_ONE
     if den.terms == _ONE_TERMS:
         return nums, den
+    drows = _rows(den, True)
+    if len(drows) > 1:
+        return _normal_form_general(nums, den)
+    ((a, lo, d),) = drows
+    g, rows = d, {}
+    for k, c in nums.items():
+        rows[k] = _rows(c, True)
+        g = _fold_gcd(g, rows[k])
+        if g == _DENSE_ONE:
+            return _unit(nums, den)
+    sign = 1 if d[-1] > 0 else -1  # g's lead is positive
+    nums = {k: _div_rows(r, g, a, lo, sign) for k, r in rows.items()}
+    return nums, _div_rows(drows, g, a, lo, sign)
+
+
+def _normal_form_general(nums: dict, den: IntLaurent) -> tuple[dict, IntLaurent]:
+    """normal_form by IntLaurent gcds and long division, for any den.
+
+    Only a den with two powers of v needs it; the tests check the dense
+    route against it.
+    """
     g = den
     for c in nums.values():
         if g.is_one():
             break
-        g = _gcd_cached(g, c)
+        g = poly_gcd(g, c)
     if not g.is_one():
         den = laurent_divexact(den, g)
         nums = {k: laurent_divexact(c, g) for k, c in nums.items()}
@@ -763,10 +833,10 @@ def add_term(store: dict, key, val) -> None:
         store[key] = val
 
 
-def dot(pairs) -> IntLaurent:
-    """The sum of f g over pairs (f, g) of IntLaurents: one accumulation, zeros dropped once."""
+def dot(fs, gs) -> IntLaurent:
+    """The sum of f g over parallel sequences fs, gs: one accumulation, zeros dropped once."""
     acc: dict[ExpPair, int] = {}
-    for f, g in pairs:
+    for f, g in zip(fs, gs):
         mul_into(acc, f.terms, g.terms)
     return IntLaurent(acc)
 

@@ -222,15 +222,16 @@ def _class_character(lam: Partition, mu: Partition) -> IntLaurent:
     if not mu:
         return _ONE_POLY
     k, rest = mu[-1], mu[:-1]
-    pairs = []
+    wts, chars = [], []
     for nu in _broken_strips(lam, k):
         rows = sum(part > v for part, v in zip(lam, nu))
         links = sum(lam[i] - nu[i - 1] == 1 for i in range(1, len(lam)))
         # (-1)^links q^(k - rows) (q - 1)^(rows - links - 1) s^(1 - k), q = s^2
         wt = Scalar.monomial((-1) ** links, 0, k + 1 - 2 * rows)
         wt = wt * (s_pow(2) - ONE) ** (rows - links - 1)
-        pairs.append((wt.num, _class_character(tuple(v for v in nu if v), rest)))
-    return dot(pairs)
+        wts.append(wt.num)
+        chars.append(_class_character(tuple(v for v in nu if v), rest))
+    return dot(wts, chars)
 
 
 def _broken_strips(lam: Partition, k: int, i: int = 0) -> Iterator[tuple[int, ...]]:
@@ -261,7 +262,7 @@ def _class_coordinates(x: HeckeElt) -> dict[Partition, IntLaurent]:
 
 def _character_num(coords: dict[Partition, IntLaurent], lam: Partition) -> IntLaurent:
     """The numerator of chi_lambda(x): sum over mu of K_mu chi_lambda(w_mu)."""
-    return dot((k, _class_character(lam, mu)) for mu, k in coords.items())
+    return dot(coords.values(), [_class_character(lam, mu) for mu in coords])
 
 
 def character(x: HeckeElt, parts) -> Scalar:

@@ -13,10 +13,11 @@ the whole v-dependence: tr(w_pi) = sum over l of b_l(s) delta^l v^(l-n), with
 each b_l in Z[s^±].  The nonzero b_l are cached per basis braid as (l, b_l)
 pairs, the keyed values HeckeElt.pair takes, so the trace of x pairs its
 numerators with every grade at once and, as delta = v^{-1} (1 - v^2) / z,
-sums the grades into one numerator over z^n den against weights in
-1 - v^2 and z built once per strand count.  The known factor
-z^n = s^-n (s - 1)^n (s + 1)^n is divided out by coeff.over_z_pow with no
-gcd; what is left of it is reduced with den, which is 1 for every braid word.
+sums the grades into one numerator over z^L den, L the top grade whose
+pairing is nonzero, against weights in 1 - v^2 and z built once per L.
+The known factor z^L = s^-L (s - 1)^L (s + 1)^L is divided out by
+coeff.over_z_pow with no gcd; what is left of it is reduced with den, which
+is 1 for every braid word.
 
 The multiplicative evaluation on the annulus ring sends h_k to the trace of
 the k-strand row idempotent, taken from its closed form (Aiston & Morton,
@@ -47,7 +48,11 @@ is left:
   destabilise the same way.
 
 The numerators of the split parts multiply, each over its own power of z,
-and the whole is reduced once, over the known denominator.
+and the whole is reduced once, over the known denominator.  A word that is
+left with more negative than positive letters is expanded as its mirror
+image, since each sigma_i^-1 = sigma_i - z adds terms: the HOMFLY
+polynomial of the mirror is the mirror of the polynomial, z^m mirrors to
+(-z)^m, and delta is fixed.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .perm import Perm, coset_decompose
 from .symfun import SymFunc
 
 _ONE_POLY = IntLaurent.from_int(1)
+_ZERO_POLY = IntLaurent()
 _Z = z().num
 _DELTA_NUM = (v_pow(-1) - v_pow(1)).num  # delta = (v^-1 - v) / z
 
@@ -92,36 +98,41 @@ def _trace_loops(images: tuple[int, ...]) -> tuple[tuple[int, IntLaurent], ...]:
 
 
 @memo
-def _grade_weights(n: int, j: int) -> tuple[IntLaurent, ...]:
-    """The weights (1 - v^2)^(l-j) z^(n-l) of the grades l = j..n."""
+def _grade_weights(m: int) -> tuple[IntLaurent, ...]:
+    """The weights (1 - v^2)^i z^(m-i) for i = 0..m."""
     one_minus_v2 = (ONE - v_pow(2)).num
     a_pows, z_pows = [_ONE_POLY], [_ONE_POLY]
-    for _ in range(j, n):
+    for _ in range(m):
         a_pows.append(a_pows[-1] * one_minus_v2)
         z_pows.append(z_pows[-1] * _Z)
-    return tuple(a_pows[l - j] * z_pows[n - l] for l in range(j, n + 1))
+    return tuple(a_pows[i] * z_pows[m - i] for i in range(m + 1))
 
 
-def _loop_num(x: HeckeElt, j: int, t: int) -> IntLaurent:
-    """v^t tr(x) / delta^j as a numerator over z^(n-j) x.den, unreduced.
+def _loop_num(x: HeckeElt, j: int, t: int) -> tuple[IntLaurent, int]:
+    """v^t tr(x) / delta^j as (N, m): N over z^m x.den, unreduced.
 
-    j is 0, or 1 on n >= 1 strands.  With K_l the pairing of x with b_l
-    and delta = v^{-1} (1 - v^2) / z, it is v^(t+j-n) sum over l >= j of
-    K_l (1 - v^2)^(l-j) z^(n-l).  One pairing gives every K_l, and the sum
-    is one dot with the weights of (n, j).
+    j is 0, or 1 on n >= 1 strands.  With K_l the pairing of x with b_l,
+    L the top grade with K_L nonzero and delta = v^{-1} (1 - v^2) / z, it
+    is v^(t+j-n) sum over l >= j of K_l (1 - v^2)^(l-j) z^(L-l) over
+    z^(L-j).  One pairing gives every K_l, and the sum is one dot with
+    the weights of m = L - j.
     """
-    weights = _grade_weights(x.n, j)
-    grades = x.pair(_trace_loops).items()
-    return dot((k, weights[l - j]) for l, k in grades if l >= j).shift(t + j - x.n, 0)
+    grades = {l: k for l, k in x.pair(_trace_loops).items() if l >= j and k.terms}
+    if not grades:
+        return _ZERO_POLY, 0
+    m = max(grades) - j
+    weights = _grade_weights(m)
+    num = dot(grades.values(), [weights[l - j] for l in grades])
+    return num.shift(t + j - x.n, 0), m
 
 
 def markov_ev(x: HeckeElt) -> Scalar:
     """The framed Markov trace: delta per free loop, v^{-1} per curl.
 
-    The sum is a numerator over z^n x.den: z^n is divided out first, with no
-    gcd, and whatever of it is left is reduced with x.den.
+    The sum is a numerator over z^m x.den, m at most n: z^m is divided out
+    first, with no gcd, and whatever of it is left is reduced with x.den.
     """
-    ev = over_z_pow(_loop_num(x, 0, 0), x.n)
+    ev = over_z_pow(*_loop_num(x, 0, 0))
     if x.den.is_one():
         return ev
     return Scalar(ev.num, ev.den * x.den)
@@ -183,7 +194,7 @@ def ev_sym(f: SymFunc) -> Scalar:
         return Scalar(num, den)
     m = max(map(sum, terms), default=0)
     ks, den = over_lcm((c.num, c.den) for c in terms.values())
-    num = dot((k, _h_num(parts, m)) for parts, k in zip(terms, ks))
+    num = dot(ks, [_h_num(parts, m) for parts in terms])
     return Scalar(num, den * _ev_den(m))
 
 
@@ -224,8 +235,13 @@ def _homfly_moved(n: int, word: list[int]) -> tuple[IntLaurent, int]:
         if counts[n - 1] != 1:
             if counts[1] != 1:
                 writhe = sum(1 if i > 0 else -1 for i in word)
-                # a braid word's element has denominator 1
-                return _loop_num(word_elt(n, word), 1, writhe), n - 1
+                if writhe >= 0:
+                    # a braid word's element has denominator 1
+                    return _loop_num(word_elt(n, word), 1, writhe)
+                # the mirror image has fewer negative letters, each of
+                # which adds terms; mirror(z) = -z, and delta is fixed
+                num, m = _loop_num(word_elt(n, [-i for i in word]), 1, -writhe)
+                return num.mirror().int_mul((-1) ** m), m
             word = [n - i if i > 0 else -n - i for i in word]
         del word[next(p for p, i in enumerate(word) if abs(i) == n - 1)]
         n -= 1

@@ -238,6 +238,106 @@ def test_normal_form_random_families():
         assert normal_form(nums, IntLaurent.from_int(1))[0] is nums
 
 
+# Cyclotomic polynomials in s, dense from s^0: Phi_1 .. Phi_6.
+CYCLOTOMIC = [(-1, 1), (1, 1), (1, 1, 1), (1, 0, 1), (1, 1, 1, 1, 1), (1, -1, 1)]
+
+
+def s_dense(p):
+    return IntLaurent({(0, i): c for i, c in enumerate(p) if c})
+
+
+def ref_over_lcm(pairs):
+    """over_lcm by IntLaurent gcds and long division, whatever the denominators."""
+    den = IntLaurent.from_int(1)
+    for _, d in pairs:
+        if den != d and not d.is_one():
+            den = d if den.is_one() else den * laurent_divexact(d, poly_gcd(den, d))
+    return [k if d == den else k * laurent_divexact(den, d) for k, d in pairs], den
+
+
+def test_dense_route_matches_the_general_route():
+    # Denominators in Z[s] up to a monomial are reduced on dense rows; the
+    # general route, by IntLaurent gcds and long division, is the reference.
+    # Denominators: products of cyclotomic factors, with integer content
+    # 2 or 24, a monomial v^a s^k and either sign of the lead.  Numerators
+    # have several v-rows and share all of den, part of it, or none.
+    from heckeskein.coeff import _normal_form_general, over_lcm
+
+    rng = random.Random(2929)
+
+    def factors():
+        return [s_dense(rng.choice(CYCLOTOMIC)) for _ in range(rng.randint(1, 4))]
+
+    def product(ps):
+        out = IntLaurent.from_int(1)
+        for p in ps:
+            out = out * p
+        return out
+
+    def v_rows():
+        # a polynomial with up to three powers of v, each row a few s-terms
+        while True:
+            p = IntLaurent({
+                (rng.randint(-1, 1), rng.randint(-2, 3)): rng.randint(-4, 4)
+                for _ in range(rng.randint(1, 6))
+            })
+            if not p.is_zero():
+                return p
+
+    shares = {"all": 0, "part": 0, "none": 0}
+    reduced = 0
+    for _ in range(360):
+        fs = factors()
+        unit = IntLaurent.monomial(
+            rng.choice((1, -1)) * rng.choice((1, 2, 24)), rng.randint(-2, 2), rng.randint(-3, 3)
+        )
+        den = product(fs) * unit
+        share = rng.choice(list(shares))
+        shares[share] += 1
+        common = {"all": den, "part": product(fs[: rng.randint(0, len(fs) - 1)]),
+                  "none": IntLaurent.from_int(1)}[share]
+        nums = {k: v_rows() * common for k in range(rng.randint(1, 4))}
+        got = normal_form(nums, den)
+        assert got == _normal_form_general(nums, den)
+        reduced += got[1] != den
+        pairs = [(v_rows(), product(factors()) * IntLaurent.monomial(rng.choice((1, -2)), 0, 0))
+                 for _ in range(rng.randint(1, 4))]
+        pairs.append((v_rows(), den))
+        assert over_lcm(pairs) == ref_over_lcm(pairs)
+    assert min(shares.values()) >= 100 and reduced >= 200, (shares, reduced)
+
+
+def test_dense_route_takes_no_intlaurent_gcd_or_long_division(monkeypatch):
+    # Over a denominator in Z[s] up to a monomial, normal_form and over_lcm
+    # reach neither poly_gcd nor laurent_divexact; over one that uses v in
+    # two powers, normal_form still does.
+    import heckeskein.coeff as coeff
+
+    calls = {"poly_gcd": 0, "laurent_divexact": 0}
+    for name in calls:
+        def counted(*args, real=getattr(coeff, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(coeff, name, counted)
+
+    z_num = z().num
+    d = z_num * s_dense((1, 1, 1)).int_mul(6)  # z Phi_3 with content 6
+    nums = {0: z_num.shift(1, 0).int_mul(2), 1: s_dense((1, 0, -1)).int_mul(4)}
+    nums, den = normal_form(nums, d)
+    assert den == s_dense((1, 1, 1)).int_mul(3) and calls == {"poly_gcd": 0, "laurent_divexact": 0}
+    dens = [d, z_num, s_dense((1, 1))]
+    ks, lcm = coeff.over_lcm([(ONE.num, e) for e in dens])
+    # the lcm is d (z / (s^2 - 1)) = d s^-1, and each 1/e is k/lcm
+    assert lcm == d.shift(0, -1) and [k * e for k, e in zip(ks, dens)] == [lcm] * 3
+    assert calls == {"poly_gcd": 0, "laurent_divexact": 0}
+    x = Scalar(z_num, d) + Scalar(ONE.num, z_num) * Scalar(ONE.num, s_dense((-1, 1)))
+    assert calls == {"poly_gcd": 0, "laurent_divexact": 0}
+    assert x == Scalar(z_num, d) + Scalar(ONE.num, z_num * s_dense((-1, 1)))
+    delta_den = z_num * v_pow(1).num + ONE.num  # v z + 1: two powers of v
+    normal_form({0: delta_den * z_num}, delta_den * s_dense((1, 1)))
+    assert calls["poly_gcd"] > 0 and calls["laurent_divexact"] > 0
+
+
 def test_quantum_int_examples():
     assert quantum_int(1) == ONE
     assert quantum_int(2) == s_pow(1) + s_pow(-1)
@@ -332,29 +432,38 @@ def test_fraction_cancellation_random():
 def test_field_ops_on_denominators_with_a_shared_factor(monkeypatch):
     # a = n1 / (g d1) and b = n2 / (g d2), with g, d1, d2 in s alone or in
     # both v and s and with integer contents: the results must match the
-    # rational values at two points and be canonical.  Both gcd routes of
-    # normal_form run: poly_gcd's fold, for an input in one variable, and
-    # _prs_gcd (whose Z[v] contents are folds too, not counted as the route).
+    # rational values at two points and be canonical.  Every gcd route of
+    # normal_form runs: the dense fold over s-rows, for a den in Z[s] up to a
+    # monomial, and for other dens poly_gcd's fold, for an input in one
+    # variable, and _prs_gcd (whose Z[v] contents are folds too, not counted
+    # as the route).
     import heckeskein.coeff as coeff
 
-    routes = {"fold": 0, "prs": 0}
-    fold, prs = coeff._fold_gcd, coeff._prs_gcd
+    routes = {"dense": 0, "fold": 0, "prs": 0}
+    depth = {"poly_gcd": 0, "prs": 0}
+    fold, prs, gcd = coeff._fold_gcd, coeff._prs_gcd, coeff.poly_gcd
 
     def counted_fold(*args):
-        routes["fold"] += routes["in_prs"] == 0
+        if not depth["prs"]:
+            routes["fold" if depth["poly_gcd"] else "dense"] += 1
         return fold(*args)
+
+    def nested(name, real):
+        def run(*args):
+            depth[name] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[name] -= 1
+        return run
 
     def counted_prs(*args):
         routes["prs"] += 1
-        routes["in_prs"] += 1
-        try:
-            return prs(*args)
-        finally:
-            routes["in_prs"] -= 1
+        return nested("prs", prs)(*args)
 
-    routes["in_prs"] = 0
     monkeypatch.setattr(coeff, "_fold_gcd", counted_fold)
     monkeypatch.setattr(coeff, "_prs_gcd", counted_prs)
+    monkeypatch.setattr(coeff, "poly_gcd", nested("poly_gcd", gcd))
 
     rng = random.Random(2027)
 
@@ -382,7 +491,7 @@ def test_field_ops_on_denominators_with_a_shared_factor(monkeypatch):
         return out
 
     checked = 0
-    reached = {"fold": 0, "prs": 0}  # by the operations, not by the checks
+    reached = dict.fromkeys(routes, 0)  # by the operations, not by the checks
     for _ in range(150):
         before = dict(routes)
         g, d1, d2 = (rndpoly(rng.random() < 0.5) for _ in range(3))
@@ -413,7 +522,7 @@ def test_field_ops_on_denominators_with_a_shared_factor(monkeypatch):
                 assert r == want(x, y), (op, a, b)
                 checked += 1
     assert checked >= 1500
-    assert reached["fold"] > 0 and reached["prs"] > 0, reached
+    assert min(reached.values()) > 0, reached
 
 
 def test_laurent_divexact_roundtrip():

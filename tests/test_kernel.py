@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from heckeskein.coeff import IntLaurent, Scalar
+from heckeskein.coeff import IntLaurent, Scalar, over_z_pow
 from heckeskein.hecke import (
     HeckeElt,
     _elt,
@@ -25,7 +25,7 @@ from heckeskein.hecke import (
     word_elt,
 )
 from heckeskein.perm import all_perms, right_gen, word_of
-from heckeskein.trace import homfly, markov_ev
+from heckeskein.trace import _loop_num, _trace_loops, homfly, markov_ev
 from oracles import (
     is_central_by_terms,
     loop_sum_horner,
@@ -207,3 +207,29 @@ def test_trace_sums_match_horner(seed):
         for _ in range(3):
             x = rand_elt(rng, n, 6, Z_DENS)
             assert markov_ev(x) == loop_sum_horner(x, 0, 0)
+        # the sums run over z^(L - j), L the top grade with a nonzero
+        # pairing: below n without the identity braid, n with it; over 1,
+        # over an integer or s^2 - 1, and over a factor of z
+        perms = list(all_perms(n))
+        for top in ("below", "equal"):
+            for dens in (Z_DENS, [DENS[0], DENS[3]], [IntLaurent.from_int(1)]):
+                picks = rng.sample(perms[1:], min(4, len(perms) - 1))
+                if top == "equal":
+                    picks.append(perms[0])
+                den = rng.choice(dens)
+                # v^3 s^3 keeps every coefficient nonzero
+                x = HeckeElt(n, {
+                    p: Scalar(rand_poly(rng) + IntLaurent.monomial(1, 3, 3), den) for p in picks
+                })
+                grades = [l for l, k in x.pair(_trace_loops).items() if not k.is_zero()]
+                if not grades:
+                    continue
+                assert (max(grades) == n) == (top == "equal")
+                assert markov_ev(x) == loop_sum_horner(x, 0, 0)
+                for j in (0, 1):
+                    t = rng.randint(-3, 3)
+                    num, m = _loop_num(x, j, t)
+                    tops = [l for l in grades if l >= j]
+                    assert m == (max(tops) - j if tops else 0)
+                    ev = over_z_pow(num, m)
+                    assert Scalar(ev.num, ev.den * x.den) == loop_sum_horner(x, j, t)

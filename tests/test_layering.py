@@ -230,7 +230,7 @@ def test_memo_bound_holds_the_largest_key_space():
     # partitions of k, or pairs of them (a partition with a degree).  The
     # largest are the braid-keyed tables', one entry per basis braid of H_k;
     # they fit, so none of them evicts.  The gcd table is keyed by pairs of
-    # polynomials and drops its least recently used pairs.
+    # dense coefficient tuples and drops its least recently used pairs.
     from math import factorial
 
     from heckeskein.coeff import MEMO_SIZE
@@ -250,7 +250,7 @@ def test_memo_bound_holds_the_largest_key_space():
         **dict.fromkeys(["std_tableaux", "_schur_terms", "_p_monomial"], shapes),
         "_class_character": sum(c * c for c in p),
         "_psi_p": len(ks) * shapes,  # (strands, a partition as prefix)
-        "_grade_weights": 2 * len(ks),  # (strands, j = 0 or 1)
+        "_grade_weights": len(ks),  # the span m = L - j <= k of the summed grades
         "_ev_den": len(ks),  # the degree m of D_m
         "_h_num": sum(sum(p[: m + 1]) for m in ks),  # (lambda, m) with |lambda| <= m
     }

@@ -270,6 +270,44 @@ def test_homfly_expands_only_what_the_moves_leave(monkeypatch):
     assert expanded == [3]
 
 
+def test_homfly_expands_the_mirror_of_a_negative_word(monkeypatch):
+    # Each word below is w0 w0, w0 holding every generator once with a
+    # random sign, so no Markov move applies and the leaf gets the whole
+    # word.  A negative writhe is expanded as the negated word and the
+    # result mirrored; both routes must give the direct expansion.
+    from oracles import loop_sum_horner, rmul_word_by_terms
+
+    expanded = []
+    real = trace.word_elt
+
+    def recording(n, word):
+        expanded.append(list(word))
+        return real(n, word)
+
+    monkeypatch.setattr(trace, "word_elt", recording)
+    rng = random.Random(2929)
+    routes = {"direct": 0, "mirror": 0}
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        gens = list(range(1, n))
+        rng.shuffle(gens)
+        half = [rng.choice((1, -1)) * i for i in gens]
+        word = half + half
+        writhe = sum(1 if i > 0 else -1 for i in word)
+        expanded.clear()
+        got = homfly(n, word)
+        if writhe >= 0:
+            assert expanded == [word]
+            routes["direct"] += 1
+        else:
+            assert expanded == [[-i for i in word]]
+            routes["mirror"] += 1
+        direct = loop_sum_horner(rmul_word_by_terms(HeckeElt.identity(n), word), 1, writhe)
+        assert got == direct, (n, word)
+        assert homfly(n, [-i for i in word]) == got.mirror()
+    assert min(routes.values()) >= 20, routes
+
+
 def test_trace_grades_are_class_polynomial_sums():
     # tr(w_mu) = delta^l(mu) v^(l(mu)-n) for a minimal braid, so the grade l
     # of tr(w_pi) sums the class polynomials f_{pi,mu} over l(mu) = l
