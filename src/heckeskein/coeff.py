@@ -21,8 +21,9 @@ basis braid) alike.  Every Scalar field operation builds its result as
 Scalar(num, den), so it reduces through `normal_form` (a sum first brings
 both fractions over the lcm of their denominators); a form over 1 is
 canonical as it stands and `normal_form` returns it unchanged.  Every
-denominator the commands build (quantum integers, z, D_m, psi's images and
-the idempotents) lies in Z[s] up to a monomial, and `normal_form`,
+denominator the commands build (quantum integers, the powers z^m over
+which the Markov trace and homfly fall, D_m, psi's images and the
+idempotents) lies in Z[s] up to a monomial, and `normal_form`,
 `poly_lcm` and `over_lcm` reduce those on dense coefficient rows in s;
 only a denominator with two powers of v takes IntLaurent gcds and long
 division.
@@ -733,50 +734,6 @@ def _poly_json(p: IntLaurent) -> list:
         return [[a, b, str(c)] for (a, b), c in rows]
     except ValueError:
         return [[a, b, _decimal(c)] for (a, b), c in rows]
-
-
-# ---------------------------------------------------------------------------
-# Fractions over a known denominator: z^m = s^-m (s - 1)^m (s + 1)^m.
-#
-# The Markov trace of an element and homfly are numerators over a power of
-# z.  Both factors s - 1 and s + 1 are irreducible and monic, so the
-# canonical form needs no gcd: s - 1 divides num exactly when every v-slice
-# (num's coefficient of one power of v, a polynomial in s) sums to 0, and
-# s + 1 when every slice's alternating sum is 0.  Each division is a
-# synthetic division per slice, exact by construction.
-# ---------------------------------------------------------------------------
-
-
-_S_MINUS_1 = IntLaurent({(0, 1): 1, (0, 0): -1})
-_S_PLUS_1 = IntLaurent({(0, 1): 1, (0, 0): 1})
-
-
-def over_z_pow(num: IntLaurent, m: int) -> Scalar:
-    """The canonical Scalar num / z^m, with no gcd or long division."""
-    if not num.terms:
-        return ZERO
-    rows = _rows(num, True)
-    den = _L_ONE
-    for r, f in ((1, _S_MINUS_1), (-1, _S_PLUS_1)):
-        left = m
-        while left and all(sum(p[::2]) + r * sum(p[1::2]) == 0 for _, _, p in rows):
-            rows = [(ev, lo, _synthetic_div(p, r)) for ev, lo, p in rows]
-            left -= 1
-        for _ in range(left):
-            den = den * f
-    # num / z^m = s^m num / ((s - 1)^m (s + 1)^m)
-    terms = {(ev, lo + m + i): c for ev, lo, p in rows for i, c in enumerate(p) if c}
-    return Scalar._raw(IntLaurent._wrap(terms), den)
-
-
-def _synthetic_div(p: list[int], r: int) -> list[int]:
-    """The quotient q of p = (s - r) q, dense from the lowest power; r = ±1."""
-    q = [0] * (len(p) - 1)
-    acc = 0
-    for k in range(len(p) - 1, 0, -1):
-        acc = p[k] + r * acc
-        q[k - 1] = acc
-    return q
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ pairs, the keyed values HeckeElt.pair takes, so the trace of x pairs its
 numerators with every grade at once and, as delta = v^{-1} (1 - v^2) / z,
 sums the grades into one numerator over z^L den, L the top grade whose
 pairing is nonzero, against weights in 1 - v^2 and z built once per L.
-The known factor z^L = s^-L (s - 1)^L (s + 1)^L is divided out by
-coeff.over_z_pow with no gcd; what is left of it is reduced with den, which
-is 1 for every braid word.
+That fraction is reduced once, by the Scalar constructor; den is 1 for
+every braid word, and z^L den lies in Z[s] up to a monomial, which
+coeff.normal_form reduces on dense rows.
 
 The multiplicative evaluation on the annulus ring sends h_k to the trace of
 the k-strand row idempotent, taken from its closed form (Aiston & Morton,
@@ -48,9 +48,9 @@ is left:
   destabilise the same way.
 
 The numerators of the split parts multiply, each over its own power of z,
-and the whole is reduced once, over the known denominator.  A word that is
-left with more negative than positive letters is expanded as its mirror
-image, since each sigma_i^-1 = sigma_i - z adds terms: the HOMFLY
+and the whole is reduced once, over the product of those powers.  A word
+that is left with more negative than positive letters is expanded as its
+mirror image, since each sigma_i^-1 = sigma_i - z adds terms: the HOMFLY
 polynomial of the mirror is the mirror of the polynomial, z^m mirrors to
 (-z)^m, and delta is fixed.
 """
@@ -64,7 +64,6 @@ from .coeff import (
     dot,
     memo,
     over_lcm,
-    over_z_pow,
     s_pow,
     v_pow,
     z,
@@ -99,7 +98,7 @@ def _trace_loops(images: tuple[int, ...]) -> tuple[tuple[int, IntLaurent], ...]:
 
 @memo
 def _grade_weights(m: int) -> tuple[IntLaurent, ...]:
-    """The weights (1 - v^2)^i z^(m-i) for i = 0..m."""
+    """The weights (1 - v^2)^i z^(m-i) for i = 0..m; the first is z^m."""
     one_minus_v2 = (ONE - v_pow(2)).num
     a_pows, z_pows = [_ONE_POLY], [_ONE_POLY]
     for _ in range(m):
@@ -129,13 +128,10 @@ def _loop_num(x: HeckeElt, j: int, t: int) -> tuple[IntLaurent, int]:
 def markov_ev(x: HeckeElt) -> Scalar:
     """The framed Markov trace: delta per free loop, v^{-1} per curl.
 
-    The sum is a numerator over z^m x.den, m at most n: z^m is divided out
-    first, with no gcd, and whatever of it is left is reduced with x.den.
+    The sum is a numerator over z^m x.den, m at most n, reduced once.
     """
-    ev = over_z_pow(*_loop_num(x, 0, 0))
-    if x.den.is_one():
-        return ev
-    return Scalar(ev.num, ev.den * x.den)
+    num, m = _loop_num(x, 0, 0)
+    return Scalar(num, _grade_weights(m)[0] * x.den)
 
 
 @memo
@@ -202,7 +198,8 @@ def homfly(n: int, word: list[int]) -> Scalar:
     """Framed-corrected HOMFLY polynomial of the closed braid, unknot = 1."""
     if n < 1:
         raise ValueError("need at least one strand")
-    return over_z_pow(*_homfly_moved(n, check_word(n, word)))
+    num, m = _homfly_moved(n, check_word(n, word))
+    return Scalar(num, _grade_weights(m)[0])
 
 
 def _cancel(word: list[int]) -> list[int]:

@@ -106,6 +106,28 @@ def test_scalar_reduces_only_through_its_constructor():
     assert offenders == []
 
 
+def test_raw_scalars_are_canonical_by_construction():
+    # Scalar._raw skips the reduction, so coeff.py hands it only fractions
+    # over 1 or a negation over the same denominator; every other fraction
+    # is made canonical by normal_form.
+    tree = ast.parse((SRC / "coeff.py").read_text())
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_raw"
+    ]
+    offenders = []
+    for call in calls:
+        den = call.args[1] if len(call.args) > 1 else None
+        over_one = isinstance(den, ast.Name) and den.id == "_L_ONE"
+        same_den = (
+            isinstance(den, ast.Attribute) and den.attr == "den"
+            and getattr(den.value, "id", None) == "self"
+        )
+        if not (over_one or same_den):
+            offenders.append(f"coeff.py:{call.lineno}")
+    assert calls and offenders == []
+
+
 def test_only_cli_imports_the_representation_layer():
     # psi, trace and the layers below them reach the centre and the closure
     # without tableaux or seminormal matrices; the package's __init__ only

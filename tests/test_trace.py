@@ -185,6 +185,16 @@ def test_homfly_markov_invariance():
     assert homfly(3, [1, 2, 1, 2]) == base
 
 
+def test_homfly_beyond_the_cli_strand_bound():
+    # The library homfly has no strand bound: split unions reach powers
+    # z^m above the CLI's 8 strands, up to m = 11 and m = 10 here.
+    for n in range(1, 13):
+        assert homfly(n, []) == delta() ** (n - 1)
+    # two trefoils, the stabilised unknot of sigma_5 and six free strands
+    t = homfly(2, [1, 1, 1])
+    assert homfly(12, [1, 1, 1, 5, 9, 9, 9]) == delta() ** 8 * t * t
+
+
 def test_homfly_matches_the_three_scalar_route():
     # v^writhe markov_trace(word) / delta, with the trace summed term by term
     rng = random.Random(1505)
