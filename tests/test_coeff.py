@@ -664,23 +664,37 @@ def _pm1_pow(a, b):
     return out
 
 
-def test_fractions_over_z_pow_match_the_general_route():
+def _check_over_z_pow(num, m, want=None):
     # The Markov trace and homfly are numerators over a power z^m of
-    # z = s^-1 (s - 1) (s + 1), reduced by the Scalar constructor.  Four
-    # fixed rows, then numerators divisible by (s - 1)^i (s + 1)^j, with i
-    # and j below, at and above m; with i != j the factors s - 1 and s + 1
-    # cancel to different powers.
+    # z = s^-1 (s - 1) (s + 1), reduced by the Scalar constructor; check it
+    # against the general route and against exact evaluation.
+    zm = (z() ** m).num
+    got = Scalar(num, zm)
+    if want is not None:
+        assert (got.num, got.den) == want, (num, m)
+    if num.terms:
+        nums, den = _normal_form_general({0: num}, zm)
+        assert (got.num, got.den) == (nums[0], den), (num, m)
+    for v0, s0 in [(Fraction(2), Fraction(3)), (Fraction(-1, 2), Fraction(5, 7))]:
+        want_val = _eval_poly(num, v0, s0) / _eval_poly(zm, v0, s0)
+        assert eval_rational(got, v0, s0) == want_val, (num, m)
+
+
+def test_over_z_pow_examples():
     one = IntLaurent.from_int(1)
-    cube = _pm1_pow(3, 0).shift(1, -2)  # v s^-2 (s - 1)^3
-    fixed = [
-        (IntLaurent(), 3, (IntLaurent(), one)),
-        ((z() * z()).num, 2, (one, one)),
-        # over z^2 it leaves v (s - 1) upstairs
-        (cube, 2, (_S_MINUS_1.shift(1, 0), _pm1_pow(0, 2))),
-        (cube, 0, (cube, one)),
-    ]
+    _check_over_z_pow(IntLaurent(), 3, (IntLaurent(), one))
+    _check_over_z_pow((z() * z()).num, 2, (one, one))
+    # above the cap: v s^-2 (s - 1)^3 over z^2 leaves v (s - 1) upstairs
+    cube = _pm1_pow(3, 0).shift(1, -2)
+    _check_over_z_pow(cube, 2, (_S_MINUS_1.shift(1, 0), _pm1_pow(0, 2)))
+    _check_over_z_pow(cube, 0, (cube, one))
+
+
+def test_over_z_pow_matches_the_gcd_route():
+    # numerators divisible by (s - 1)^i (s + 1)^j, with i and j below, at
+    # and above the power m of z; with i != j the factors s - 1 and s + 1
+    # cancel to different powers
     rng = random.Random(2026)
-    drawn = []
     at_cap = below = above = unequal = 0
     for _ in range(400):
         m = rng.randint(0, 5)
@@ -689,21 +703,9 @@ def test_fractions_over_z_pow_match_the_general_route():
         for _ in range(rng.randint(0, 5)):
             e = (rng.randint(-3, 3), rng.randint(-4, 4))
             base[e] = rng.randint(-9, 9)
-        drawn.append((IntLaurent(base) * _pm1_pow(i, j), m, None))
+        _check_over_z_pow(IntLaurent(base) * _pm1_pow(i, j), m)
         at_cap += m > 0 and m in (i, j)
         below += min(i, j) < m
         above += max(i, j) > m
         unequal += i != j
     assert at_cap >= 20 and below >= 20 and above >= 20 and unequal >= 200
-    points = [(Fraction(2), Fraction(3)), (Fraction(-1, 2), Fraction(5, 7))]
-    for num, m, want in fixed + drawn:
-        zm = (z() ** m).num
-        got = Scalar(num, zm)
-        if want is not None:
-            assert (got.num, got.den) == want, (num, m)
-        if num.terms:
-            nums, den = _normal_form_general({0: num}, zm)
-            assert (got.num, got.den) == (nums[0], den), (num, m)
-        for v0, s0 in points:
-            want_val = _eval_poly(num, v0, s0) / _eval_poly(zm, v0, s0)
-            assert eval_rational(got, v0, s0) == want_val, (num, m)
