@@ -23,10 +23,11 @@ both fractions over the lcm of their denominators); a form over 1 is
 canonical as it stands and `normal_form` returns it unchanged.  Every
 denominator the commands build (quantum integers, the powers z^m over
 which the Markov trace and homfly fall, D_m, psi's images and the
-idempotents) lies in Z[s] up to a monomial, and `normal_form`,
-`poly_lcm` and `over_lcm` reduce those on dense coefficient rows in s;
-only a denominator with two powers of v takes IntLaurent gcds and long
-division.
+idempotents) lies in Z[s] up to a monomial, and `normal_form` reduces
+those on dense coefficient rows in s; only a denominator with two powers
+of v takes IntLaurent gcds and long division.  `normal_form` is the only
+routine that picks between the two routes: `over_lcm` takes the canonical
+lcm of several denominators and its cofactors from it.
 
 This module also keeps the package's one memo policy: every table of
 values the package caches (per basis braid, per partition, or the gcd of a
@@ -249,10 +250,12 @@ def _fmt_poly(p: IntLaurent) -> str:
 # monomial, so the common path never forms an IntLaurent gcd: normal_form
 # folds _dense_gcd over the numerators' s-rows through _gcd_cached, the one
 # gcd table, keyed by dense coefficient tuples, and divides by the result
-# with _dense_div.  Both gcd paths run the primitive polynomial remainder
-# sequence (PRS): make both inputs primitive, then replace (a, b) by (b,
-# the primitive part of a's pseudo-remainder by b) until that remainder is
-# 0 or a constant (Knuth, TAOCP vol. 2, 4.6.1).  _dense_gcd runs it over Z
+# with _dense_div.  poly_gcd and laurent_divexact, the IntLaurent engine,
+# are entered only through _normal_form_general (and laurent_divexact also
+# through _v_primitive, inside the PRS).  Both gcd paths run the primitive
+# polynomial remainder sequence (PRS): make both inputs primitive, then
+# replace (a, b) by (b, the primitive part of a's pseudo-remainder by b)
+# until that remainder is 0 or a constant (Knuth, TAOCP vol. 2, 4.6.1).  _dense_gcd runs it over Z
 # on dense int sequences (index = exponent).  Only two inputs that each use
 # both variables reach _prs_gcd, which runs it in s over Z[v] on IntLaurent
 # values, with Z[v] contents that are folds of _dense_gcd.  No CLI command
@@ -511,38 +514,23 @@ def laurent_divexact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
     return IntLaurent(quot)
 
 
-def poly_lcm(a: IntLaurent, b: IntLaurent) -> IntLaurent:
-    """Least common multiple of two nonzero polynomials, up to a unit.
-
-    No gcd is taken when the two are equal or either is 1.
-    """
-    if a == b or b.is_one():
-        return a
-    if a.is_one():
-        return b
-    ra, rb = _rows(a, True), _rows(b, True)
-    if len(ra) == len(rb) == 1:  # both lie in Z[s] up to a monomial
-        ((_, _, da),), ((_, _, db),) = ra, rb
-        return a * _div_rows(rb, _gcd_cached(da, db), 0, 0, 1)
-    return a * laurent_divexact(b, poly_gcd(a, b))
-
-
 def over_lcm(pairs) -> tuple[list[IntLaurent], IntLaurent]:
-    """Fractions num/den over D, the lcm of their denominators: ([num D/den], D)."""
-    pairs = list(pairs)
-    den = _L_ONE
-    for _, d in pairs:
-        den = poly_lcm(den, d)
-    return [k if d == den else k * _divexact(den, d) for k, d in pairs], den
+    """Fractions num/den over D, the canonical lcm of their denominators: ([num D/den], D).
 
-
-def _divexact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
-    """f / g, for a g that divides f: on dense rows when both lie in Z[s] up to a monomial."""
-    rf, rg = _rows(f, True), _rows(g, True)
-    if len(rf) == len(rg) == 1:
-        ((a, lo, q),) = rg
-        return _div_rows(rf, q, a, lo, 1)
-    return laurent_divexact(f, g)
+    D starts at 1.  A den other than D takes one normal_form({0: D}, den),
+    which gives D/g and den/g under one unit, for g = gcd(D, den); D becomes
+    D (den/g), the numerators taken so far are multiplied by den/g and num
+    by D/g.  D is a product of canonical polynomials, so it is canonical.
+    """
+    nums, den = [], _L_ONE
+    for k, d in pairs:
+        if d != den:
+            cof, d_g = normal_form({0: den}, d)
+            nums = [c * d_g for c in nums]
+            den = den * d_g
+            k = k * cof[0]
+        nums.append(k)
+    return nums, den
 
 
 def normal_form(nums: dict, den: IntLaurent) -> tuple[dict, IntLaurent]:

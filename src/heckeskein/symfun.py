@@ -5,7 +5,9 @@ closure-of-row-idempotent generators h_1, h_2, ...; a monomial is indexed by
 the partition of its factors, and products just merge partitions.  Schur
 functions enter through the Jacobi-Trudi determinant, power sums through the
 logarithm of the generating series H(t) = 1 + h_1 t + h_2 t^2 + ..., and the
-elementary functions through E(-t)H(t) = 1.  All conversions are exact.
+elementary functions as the Jacobi-Trudi column e_k = s_(1^k), so that
+E(-t)H(t) = 1 is a theorem about them, not their definition.  All
+conversions are exact.
 
 The closed-braid elements A_m come straight from the generating-function
 identity A(t) = H(st)E(-s^{-1}t).
@@ -249,16 +251,10 @@ def power_sum(m: int) -> SymFunc:
 
 @memo
 def elementary(k: int) -> SymFunc:
-    """e_k, from the recursion sum_{i+j=k} (-1)^i e_i h_j = 0."""
+    """e_k = s_(1^k), the Jacobi-Trudi column det(h_{1 - i + j})."""
     if k < 0:
         raise ValueError("e_k needs k >= 0")
-    if k == 0:
-        return SymFunc.one()
-    acc = SymFunc()
-    for i in range(k):
-        term = elementary(i) * complete(k - i)
-        acc = acc + term.scale(Scalar.from_int((-1) ** i))
-    return acc.scale(Scalar.from_int((-1) ** (k + 1)))
+    return schur((1,) * k)
 
 
 @memo

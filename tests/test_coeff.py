@@ -12,6 +12,7 @@ from heckeskein.coeff import (
     _normal_form_general,
     _prs_gcd,
     _strip_monomial,
+    canon_poly_part,
     delta,
     laurent_divexact,
     normal_form,
@@ -252,7 +253,8 @@ def ref_over_lcm(pairs):
     for _, d in pairs:
         if den != d and not d.is_one():
             den = d if den.is_one() else den * laurent_divexact(d, poly_gcd(den, d))
-    return [k if d == den else k * laurent_divexact(den, d) for k, d in pairs], den
+    den = canon_poly_part(den)
+    return [k * laurent_divexact(den, d) for k, d in pairs], den
 
 
 def test_dense_route_matches_the_general_route():
@@ -327,8 +329,10 @@ def test_dense_route_takes_no_intlaurent_gcd_or_long_division(monkeypatch):
     assert den == s_dense((1, 1, 1)).int_mul(3) and calls == {"poly_gcd": 0, "laurent_divexact": 0}
     dens = [d, z_num, s_dense((1, 1))]
     ks, lcm = coeff.over_lcm([(ONE.num, e) for e in dens])
-    # the lcm is d (z / (s^2 - 1)) = d s^-1, and each 1/e is k/lcm
-    assert lcm == d.shift(0, -1) and [k * e for k, e in zip(ks, dens)] == [lcm] * 3
+    # the lcm is d (z / (s^2 - 1)) = d s^-1 = 6 (s^4 + s^3 - s - 1) once
+    # canonical, and each 1/e is k/lcm
+    assert lcm == canon_poly_part(d.shift(0, -1)) == s_dense((-1, -1, 0, 1, 1)).int_mul(6)
+    assert [k * e for k, e in zip(ks, dens)] == [lcm] * 3
     assert calls == {"poly_gcd": 0, "laurent_divexact": 0}
     x = Scalar(z_num, d) + Scalar(ONE.num, z_num) * Scalar(ONE.num, s_dense((-1, 1)))
     assert calls == {"poly_gcd": 0, "laurent_divexact": 0}
@@ -336,6 +340,71 @@ def test_dense_route_takes_no_intlaurent_gcd_or_long_division(monkeypatch):
     delta_den = z_num * v_pow(1).num + ONE.num  # v z + 1: two powers of v
     normal_form({0: delta_den * z_num}, delta_den * s_dense((1, 1)))
     assert calls["poly_gcd"] > 0 and calls["laurent_divexact"] > 0
+
+
+def test_over_lcm_over_denominators_with_two_powers_of_v():
+    # Denominators that use v in two powers, such as v z + 1, (v z + 1)(s + 1)
+    # and v^-1 - v, take the general route inside normal_form; over_lcm must
+    # still give the canonical lcm and each num lcm/den.
+    from heckeskein.coeff import over_lcm
+
+    rng = random.Random(3131)
+    z_num = z().num
+    vz1 = z_num.shift(1, 0) + ONE.num
+    pool = [vz1, vz1 * s_dense((1, 1)), IntLaurent({(-1, 0): 1, (1, 0): -1}),
+            IntLaurent({(1, 0): 1, (0, 1): 2}), z_num, s_dense((1, 1, 1)), s_dense((-1, 1))]
+    shared = 0
+    for _ in range(200):
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            d = IntLaurent.monomial(
+                rng.choice((1, -1, 2, -6)), rng.randint(-2, 2), rng.randint(-2, 2)
+            )
+            for _ in range(rng.randint(1, 3)):
+                d = d * rng.choice(pool)
+            k = IntLaurent({(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(-3, 3)
+                            for _ in range(rng.randint(0, 4))})
+            pairs.append((k, d))
+        if rng.random() < 0.3:
+            pairs.append((ONE.num, pairs[0][1]))
+        ks, den = over_lcm(pairs)
+        assert (ks, den) == ref_over_lcm(pairs)
+        product = IntLaurent.from_int(1)
+        for _, d in pairs:
+            product = product * d
+        shared += den != canon_poly_part(product)
+    assert shared >= 100, shared
+
+
+def test_over_lcm_takes_one_normal_form_per_new_denominator(monkeypatch):
+    # A denominator equal to the running lcm adds its numerator unchanged;
+    # every other one takes exactly one normal_form.
+    import heckeskein.coeff as coeff
+
+    calls = []
+    real = coeff.normal_form
+
+    def counted(nums, den):
+        calls.append(den)
+        return real(nums, den)
+
+    monkeypatch.setattr(coeff, "normal_form", counted)
+    rng = random.Random(3132)
+    z_num = z().num
+    pool = [z_num, s_dense((1, 1, 1)), s_dense((1, 1)), z_num.shift(1, 0) + ONE.num,
+            IntLaurent.from_int(1), s_dense((-2, 2))]
+    seen_equal = 0
+    for _ in range(150):
+        pairs = [(ONE.num, rng.choice(pool) * rng.choice(pool)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.5:
+            pairs.insert(rng.randint(1, len(pairs)), (ONE.num, ref_over_lcm(pairs)[1]))
+        running = [ref_over_lcm(pairs[:i])[1] for i in range(len(pairs))]
+        new = [d for (_, d), lcm in zip(pairs, running) if d != lcm]
+        seen_equal += len(new) < len(pairs)
+        calls.clear()
+        coeff.over_lcm(pairs)
+        assert calls == new
+    assert seen_equal >= 50, seen_equal
 
 
 def test_quantum_int_examples():

@@ -91,6 +91,23 @@ def test_only_coeff_and_hecke_write_integer_term_maps():
     assert offenders == []
 
 
+def test_only_normal_form_enters_the_general_route():
+    # normal_form alone picks between dense rows in s and the IntLaurent
+    # engine, so the engine's gcd and long division are entered only
+    # through _normal_form_general (and, inside the PRS, _v_primitive).
+    callers = {"_normal_form_general": set(), "poly_gcd": set(), "laurent_divexact": set()}
+    tree = ast.parse((SRC / "coeff.py").read_text())
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                callers[node.func.id].add(getattr(top, "name", None))
+    assert callers == {
+        "_normal_form_general": {"normal_form"},
+        "poly_gcd": {"_normal_form_general"},
+        "laurent_divexact": {"_normal_form_general", "_v_primitive"},
+    }
+
+
 def test_scalar_reduces_only_through_its_constructor():
     # Every Scalar operation builds Scalar(num, den), so normal_form (and
     # over_lcm, for a sum) is its only reduction; the class names none of
