@@ -16,7 +16,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from collections.abc import Iterator
 
 from . import repn, symfun, trace
 from .coeff import ZERO, Scalar, quantum_int, s_pow, v_pow, z
@@ -48,89 +48,65 @@ DEFAULT_N = 4
 DEFAULT_DEGREE = 4
 
 
-@dataclass
-class VerifyReport:
-    theorem: str
-    params: dict
-    status: str = "pass"
-    details: list = field(default_factory=list)
-    elapsed_ms: int = 0
-
-    def record(self, case: str, ok: bool):
-        self.details.append({"case": case, "ok": bool(ok)})
-        if not ok:
-            self.status = "fail"
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
 # ---------------------------------------------------------------------------
-# Theorem checks.  Each takes (n, degree) bounds and returns a VerifyReport.
+# Theorem checks.  Each takes (n, degree) bounds and is a generator: it yields
+# its params dict first, then one (case, ok) pair per case.
 # ---------------------------------------------------------------------------
 
 
-def _check_murphy_linear(n: int, degree: int) -> VerifyReport:
-    rep = VerifyReport("murphy-linear", {"n": n})
+def _check_murphy_linear(n: int, degree: int) -> Iterator:
+    yield {"n": n}
     zz = z()
     for m in range(2, n + 1):
         for j in range(2, m + 1):
             ok = murphy_T(j, m) == HeckeElt.identity(m) + murphy_M(j, m).scale(zz)
-            rep.record(f"T({j}) = 1 + z M({j}) in H_{m}", ok)
-    return rep
+            yield f"T({j}) = 1 + z M({j}) in H_{m}", ok
 
 
-def _check_murphy_commute(n: int, degree: int) -> VerifyReport:
-    rep = VerifyReport("murphy-commute", {"n": n})
+def _check_murphy_commute(n: int, degree: int) -> Iterator:
+    yield {"n": n}
     for m in range(2, n + 1):
         ts = [murphy_T(j, m) for j in range(1, m + 1)]
         for a in range(m):
             for b in range(a + 1, m):
-                rep.record(
-                    f"T({a+1})T({b+1}) = T({b+1})T({a+1}) in H_{m}",
-                    ts[a] * ts[b] == ts[b] * ts[a],
-                )
-    return rep
+                case = f"T({a+1})T({b+1}) = T({b+1})T({a+1}) in H_{m}"
+                yield case, ts[a] * ts[b] == ts[b] * ts[a]
 
 
-def _check_murphy_sum_central(n: int, degree: int) -> VerifyReport:
-    rep = VerifyReport("murphy-sum-central", {"n": n, "degree": degree})
+def _check_murphy_sum_central(n: int, degree: int) -> Iterator:
+    yield {"n": n, "degree": degree}
     zz_v = z() * v_pow(-1)
     for m in range(1, n + 1):
         tc = t_circle(m)
-        rep.record(
+        yield (
             f"T^({m}) = T^({m-1}) + z v^-1 T({m})",
             tc == t_circle(m - 1).include(m) + murphy_T(m, m).scale(zz_v),
         )
-        rep.record(f"T^({m}) central in H_{m}", tc.is_central())
+        yield f"T^({m}) central in H_{m}", tc.is_central()
     for m in range(1, n + 1):
         for p in range(1, min(degree, 4) + 1):
-            rep.record(
-                f"sum T(j)^{p} central in H_{m}", power_sum_T(p, m).is_central()
-            )
-    return rep
+            yield f"sum T(j)^{p} central in H_{m}", power_sum_T(p, m).is_central()
 
 
-def _check_phi_distinct(n: int, degree: int) -> VerifyReport:
-    rep = VerifyReport("phi-distinct", {"n": n})
+def _check_phi_distinct(n: int, degree: int) -> Iterator:
     tc = t_circle(n)
-    values = []
-    for lam in repn.partitions_of(n):
-        values.append((lam, repn.central_scalar(tc, lam)))
+    values = [(lam, repn.central_scalar(tc, lam)) for lam in repn.partitions_of(n)]
+    yield {
+        "n": n,
+        "eigenvalues": [
+            {"partition": list(lam), "value": val.to_json()} for lam, val in values
+        ],
+    }
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
-            rep.record(
+            yield (
                 f"t_{list(values[i][0])} != t_{list(values[j][0])}",
                 values[i][1] != values[j][1],
             )
-    rep.params["eigenvalues"] = [
-        {"partition": list(lam), "value": val.to_json()} for lam, val in values
-    ]
-    return rep
 
 
-def _check_row_idem(n: int, degree: int) -> VerifyReport:
-    rep = VerifyReport("row-idem", {"n": n})
+def _check_row_idem(n: int, degree: int) -> Iterator:
+    yield {"n": n}
     ss = s_pow(1)
     neg_s_inv = -s_pow(-1)
     for m in range(1, n + 1):
@@ -138,79 +114,70 @@ def _check_row_idem(n: int, degree: int) -> VerifyReport:
         b_m = b_sym(m)
         for i in range(1, m):
             si = word_elt(m, [i])
-            rep.record(f"a_{m} sigma_{i} = s a_{m}", a_m * si == a_m.scale(ss))
-            rep.record(f"sigma_{i} a_{m} = s a_{m}", si * a_m == a_m.scale(ss))
-            rep.record(
-                f"b_{m} sigma_{i} = -s^-1 b_{m}", b_m * si == b_m.scale(neg_s_inv)
-            )
-        rep.record(f"a_{m}^2 = phi_s(a_{m}) a_{m}", a_m * a_m == a_m.scale(phi_s(a_m)))
+            yield f"a_{m} sigma_{i} = s a_{m}", a_m * si == a_m.scale(ss)
+            yield f"sigma_{i} a_{m} = s a_{m}", si * a_m == a_m.scale(ss)
+            yield f"b_{m} sigma_{i} = -s^-1 b_{m}", b_m * si == b_m.scale(neg_s_inv)
+        yield f"a_{m}^2 = phi_s(a_{m}) a_{m}", a_m * a_m == a_m.scale(phi_s(a_m))
         if m > 1:
-            rep.record(
+            yield (
                 f"a_{m} = a_{m-1} gamma_{m}",
                 a_m == a_sym(m - 1).include(m) * gamma_elt(m),
             )
         h_m = h_idem(m)
         e_m = e_idem(m)
-        rep.record(f"h_{m}^2 = h_{m}", h_m * h_m == h_m)
-        rep.record(f"e_{m}^2 = e_{m}", e_m * e_m == e_m)
+        yield f"h_{m}^2 = h_{m}", h_m * h_m == h_m
+        yield f"e_{m}^2 = e_{m}", e_m * e_m == e_m
         if m > 1:
-            rep.record(
+            yield (
                 f"s^{m-1}[{m}] h_{m} = h_{m-1} gamma_{m}",
                 h_m.scale(s_pow(m - 1) * quantum_int(m))
                 == h_idem(m - 1).include(m) * gamma_elt(m),
             )
-    return rep
 
 
-def _check_eh_inverse(n: int, degree: int) -> VerifyReport:
-    rep = VerifyReport("eh-inverse", {"degree": degree})
+def _check_eh_inverse(n: int, degree: int) -> Iterator:
+    yield {"degree": degree}
     H = symfun.complete_series(degree)
     E = symfun.elementary_series(degree)
     prod = E.scale_t(Scalar.from_int(-1)) * H
     one = TruncSeries.one(SymFunc.one(), degree)
     for k in range(degree + 1):
-        rep.record(f"[t^{k}] E(-t)H(t) = [t^{k}] 1", prod.coeffs[k] == one.coeffs[k])
-    return rep
+        yield f"[t^{k}] E(-t)H(t) = [t^{k}] 1", prod.coeffs[k] == one.coeffs[k]
 
 
-def _check_ah(n: int, degree: int) -> VerifyReport:
-    rep = VerifyReport("ah", {"degree": degree})
+def _check_ah(n: int, degree: int) -> Iterator:
+    yield {"degree": degree}
     for m in range(1, degree + 1):
         gen_side = closed_braid_A(m)
         oracle = repn.closure(word_elt(m, list(range(m - 1, 0, -1))))
-        rep.record(f"A_{m} = closure(sigma_{{{m-1}}}...sigma_1)", gen_side == oracle)
-    return rep
+        yield f"A_{m} = closure(sigma_{{{m-1}}}...sigma_1)", gen_side == oracle
 
 
-def _check_ah_mirror_inverse(n: int, degree: int) -> VerifyReport:
-    rep = VerifyReport("ah-mirror-inverse", {"degree": degree})
+def _check_ah_mirror_inverse(n: int, degree: int) -> Iterator:
+    yield {"degree": degree}
     zz = z()
     one = SymFunc.one()
     a_coeffs = [one] + [closed_braid_A(m).scale(zz) for m in range(1, degree + 1)]
     abar_coeffs = [one]
     for m in range(1, degree + 1):
         neg = repn.closure(word_elt(m, list(range(-(m - 1), 0))))
-        rep.record(
-            f"Abar_{m} = mirror(A_{m})", neg == closed_braid_A(m).mirror()
-        )
+        yield f"Abar_{m} = mirror(A_{m})", neg == closed_braid_A(m).mirror()
         abar_coeffs.append(neg.scale(-zz))
     prod = TruncSeries(a_coeffs) * TruncSeries(abar_coeffs)
     unit = TruncSeries.one(one, degree)
     for k in range(degree + 1):
-        rep.record(f"[t^{k}] A(t)Abar(t) = [t^{k}] 1", prod.coeffs[k] == unit.coeffs[k])
-    return rep
+        yield f"[t^{k}] A(t)Abar(t) = [t^{k}] 1", prod.coeffs[k] == unit.coeffs[k]
 
 
-def _check_mirror_h(n: int, degree: int) -> VerifyReport:
-    rep = VerifyReport("mirror-h", {"n": n})
+def _check_mirror_h(n: int, degree: int) -> Iterator:
+    yield {"n": n}
     for m in range(1, n + 1):
         h_m = h_idem(m)
-        rep.record(f"mirror(h_{m}) = h_{m}", h_m.mirror() == h_m)
-    return rep
+        yield f"mirror(h_{m}) = h_{m}", h_m.mirror() == h_m
 
 
-def _check_closure_consistency(n: int, degree: int) -> VerifyReport:
-    rep = VerifyReport("closure-consistency", {"n": n, "samples": 25})
+def _check_closure_consistency(n: int, degree: int) -> Iterator:
+    yield {"n": n, "samples": 25}
     rng = random.Random(20020521)
     for m in range(1, n + 1):
         perms = list(all_perms(m))
@@ -219,9 +186,8 @@ def _check_closure_consistency(n: int, degree: int) -> VerifyReport:
             y = _random_elt(rng, m, perms)
             ok1 = trace.markov_ev(x * y) == trace.markov_ev(y * x)
             ok2 = trace.markov_ev(x) == trace.ev_sym(repn.closure(x))
-            rep.record(f"trace(xy)=trace(yx) H_{m} sample {t}", ok1)
-            rep.record(f"trace = ev(closure) H_{m} sample {t}", ok2)
-    return rep
+            yield f"trace(xy)=trace(yx) H_{m} sample {t}", ok1
+            yield f"trace = ev(closure) H_{m} sample {t}", ok2
 
 
 def _random_elt(rng: random.Random, n: int, perms) -> HeckeElt:
@@ -233,12 +199,10 @@ def _random_elt(rng: random.Random, n: int, perms) -> HeckeElt:
     return lincomb(n, pairs)
 
 
-def _check_power(n: int, degree: int) -> VerifyReport:
-    rep = VerifyReport("power", {"n": n, "degree": degree})
+def _check_power(n: int, degree: int) -> Iterator:
+    yield {"n": n, "degree": degree}
     for m in range(1, n + 1):
-        rep.record(
-            f"psi({m}, h_1) = T^({m})", psi_map(m, complete(1)) == t_circle(m)
-        )
+        yield f"psi({m}, h_1) = T^({m})", psi_map(m, complete(1)) == t_circle(m)
     for m in range(1, n + 1):
         for p in range(1, min(degree, 4) + 1):
             lhs = psi_map(m, power_sum(p)) - psi_map(m - 1, power_sum(p)).include(m)
@@ -247,17 +211,15 @@ def _check_power(n: int, degree: int) -> VerifyReport:
             for _ in range(p - 1):
                 tp = tp * tm
             rhs = tp.scale((s_pow(p) - s_pow(-p)) * v_pow(-p))
-            rep.record(f"telescoping m={p}, n={m}", lhs == rhs)
-    return rep
+            yield f"telescoping m={p}, n={m}", lhs == rhs
 
 
-def _check_murphy_series(n: int, degree: int) -> VerifyReport:
-    rep = VerifyReport("murphy-series", {"n": n, "degree": degree})
+def _check_murphy_series(n: int, degree: int) -> Iterator:
+    yield {"n": n, "degree": degree}
     for m in range(1, n + 1):
         ok, sub = verify_murphy_series(m, degree)
         for k, good in enumerate(sub["degree_ok"]):
-            rep.record(f"n={m} degree {k}", good)
-    return rep
+            yield f"n={m} degree {k}", good
 
 
 CHECKS = {
@@ -283,15 +245,19 @@ def cmd_verify(theorem: str, n: int, degree: int) -> tuple[int, list[dict]]:
         )
     names = sorted(CHECKS) if theorem == "all" else [theorem]
     reports = []
-    worst = 0
     for name in names:
         t0 = time.monotonic()
-        rep = CHECKS[name](n, degree)
-        rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
-        reports.append(rep.to_json())
-        if rep.status != "pass":
-            worst = 1
-    return worst, reports
+        cases = CHECKS[name](n, degree)
+        params = next(cases)
+        details = [{"case": case, "ok": bool(ok)} for case, ok in cases]
+        reports.append({
+            "theorem": name,
+            "params": params,
+            "status": "pass" if all(d["ok"] for d in details) else "fail",
+            "details": details,
+            "elapsed_ms": int((time.monotonic() - t0) * 1000),
+        })
+    return int(any(rep["status"] == "fail" for rep in reports)), reports
 
 
 # ---------------------------------------------------------------------------

@@ -61,14 +61,13 @@ class IntLaurent:
     map.  Instances are immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("terms", "_key")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: dict[ExpPair, int] | None = None):
         if terms:
             self.terms = {e: c for e, c in terms.items() if c}
         else:
             self.terms = {}
-        self._key: tuple | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -85,7 +84,6 @@ class IntLaurent:
         """Take ``terms``, which holds no zero coefficient, without a copy."""
         res = IntLaurent.__new__(IntLaurent)
         res.terms = terms
-        res._key = None
         return res
 
     # -- predicates ------------------------------------------------------------
@@ -100,10 +98,8 @@ class IntLaurent:
         return len(self.terms) == 1
 
     def key(self) -> tuple:
-        """Sorted term tuple; used for caching and ordering."""
-        if self._key is None:
-            self._key = tuple(sorted(self.terms.items()))
-        return self._key
+        """Sorted term tuple, the canonical form that ``__hash__`` hashes."""
+        return tuple(sorted(self.terms.items()))
 
     # -- ring operations --------------------------------------------------------
 

@@ -3,9 +3,10 @@
 Elements are Scalar-linear combinations of monomials h_lambda in the
 closure-of-row-idempotent generators h_1, h_2, ...; a monomial is indexed by
 the partition of its factors, and products just merge partitions.  Schur
-functions enter through the Jacobi-Trudi determinant, power sums through the
-logarithm of the generating series H(t) = 1 + h_1 t + h_2 t^2 + ..., and the
-elementary functions as the Jacobi-Trudi column e_k = s_(1^k), so that
+functions enter through the Jacobi-Trudi determinant, power sums through
+Newton's identity m h_m = P_1 h_{m-1} + ... + P_m h_0, which holds for the
+P_m of log H(t) = sum_m P_m t^m / m with H(t) = 1 + h_1 t + h_2 t^2 + ...,
+and the elementary functions as the Jacobi-Trudi column e_k = s_(1^k), so that
 E(-t)H(t) = 1 is a theorem about them, not their definition.  All
 conversions are exact.
 
@@ -226,7 +227,7 @@ def to_schur(f: SymFunc) -> dict[Partition, Scalar]:
 
 
 # ---------------------------------------------------------------------------
-# Power sums via Newton's relation: sum_m (P_m/m) t^m = log H(t).
+# Generating series, and power sums via Newton's identity.
 # ---------------------------------------------------------------------------
 
 
@@ -242,11 +243,13 @@ def elementary_series(order: int) -> TruncSeries:
 
 @memo
 def power_sum(m: int) -> SymFunc:
-    """P_m, read off as m times the t^m coefficient of log H(t)."""
+    """P_m = m h_m - (P_1 h_{m-1} + ... + P_{m-1} h_1), by Newton's identity."""
     if m < 1:
         raise ValueError("power sum needs m >= 1")
-    logh = complete_series(m).log()
-    return logh.coeffs[m].scale(Scalar.from_int(m))
+    out = complete(m).scale(Scalar.from_int(m))
+    for i in range(1, m):
+        out = out - power_sum(i) * complete(m - i)
+    return out
 
 
 @memo

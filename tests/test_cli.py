@@ -88,6 +88,31 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err == "internal error: inexact division\n"
 
 
+def test_failed_identity_exits_1(capsys, monkeypatch):
+    def half_true(n, degree):
+        yield {"n": n}
+        yield "first case", True
+        yield "second case", False
+
+    monkeypatch.setitem(cli.CHECKS, "mirror-h", half_true)
+    code, out, err = run(capsys, "verify", "mirror-h", "--n", "2")
+    assert code == 1
+    assert err == ""
+    (rep,) = json.loads(out)
+    assert rep["theorem"] == "mirror-h"
+    assert rep["params"] == {"n": 2}
+    assert rep["status"] == "fail"
+    assert rep["details"] == [
+        {"case": "first case", "ok": True},
+        {"case": "second case", "ok": False},
+    ]
+    code, out, _ = run(capsys, "verify", "mirror-h", "--n", "2", "--pretty")
+    assert code == 1
+    head, fail = out.splitlines()
+    assert head.startswith("mirror-h: FAIL (1/2 cases, ")
+    assert fail == "  FAIL second case"
+
+
 def test_verify_single_pass(capsys):
     code, out, _ = run(capsys, "verify", "eh-inverse", "--degree", "6")
     assert code == 0

@@ -74,6 +74,13 @@ def test_power_sum_examples():
     ) + h_mono(1, 1, 1)
 
 
+def test_power_sum_matches_log_h():
+    # Newton's identity against m [t^m] log H(t), the series route
+    for m in range(1, 9):
+        logh = complete_series(m).log()
+        assert power_sum(m) == logh.coeffs[m].scale(Scalar.from_int(m))
+
+
 def test_log_h_series_coefficient():
     lg = complete_series(4).log()
     assert lg.coeffs[2] == complete(2) - h_mono(1, 1).scale(Scalar.from_fraction(1, 2))
